@@ -9,12 +9,13 @@ Output is a JSON envelope {command, config, results, telemetry} on
 stdout, or the results as CSV.  Every number in the envelope is
 rendered as a decimal string so arbitrary-precision values survive any
 JSON reader.  With --deterministic the envelope is emitted with sorted
-keys and compact separators, wall time is omitted and jobs is forced
-to 1, making the bytes a pure function of the invocation.
+keys and compact separators and wall time is omitted, making the bytes
+a pure function of the invocation.
 
 Exit codes: 0 success, 1 an expected negative (bound violated,
 mismatch, witness absent), 2 bad input, 3 a budget or size cap hit,
-4 a search ended indeterminate.
+4 a search ended indeterminate, 5 an internal error (a bug in
+growthlab, not in the input).
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import json
 import random
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from ._backend import resolve_backend
 from .errors import CapacityError, ParseError
 from .graph_classes import (
     FlipSpec,
@@ -67,6 +68,7 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 EXIT_INDETERMINATE = 4
+EXIT_INTERNAL = 5
 
 ORACLE_CHECK_MAX_N = 5
 
@@ -85,8 +87,6 @@ def _stringify(value):
         return value
     if isinstance(value, (int, Fraction)):
         return str(value)
-    if isinstance(value, float):
-        return str(int(value))
     if isinstance(value, (list, tuple)):
         return [_stringify(v) for v in value]
     if isinstance(value, dict):
@@ -126,7 +126,6 @@ def _emit(envelope: dict, args) -> None:
 def _common_config(args) -> dict:
     return {
         "format": args.format,
-        "jobs": args.jobs,
         "seed": args.seed,
         "deterministic": args.deterministic,
         "budget_tuples": args.budget_tuples,
@@ -324,9 +323,7 @@ def _cmd_graphs(args, rows, tel, config) -> int:
         config["class_file"] = args.class_file
         config["mode"] = args.mode
         config["n"] = args.n
-        value = count_labelled(
-            spec, args.n, jobs=args.jobs, node_budget=args.budget_nodes
-        )
+        value = count_labelled(spec, args.n, node_budget=args.budget_nodes)
         rows.append({"name": "count_labelled", "n": args.n, "value": value})
         return EXIT_OK
 
@@ -428,7 +425,6 @@ def _cmd_witness(args, rows, tel, config) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--deterministic", action="store_true")
     common.add_argument("--budget-tuples", type=int, default=10**7, dest="budget_tuples")
@@ -498,24 +494,25 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.deterministic:
-        args.jobs = 1
     command = args.command
     if command == "graphs":
         command = f"graphs {args.graphs_command}"
     started = time.perf_counter()
     rows: list[dict] = []
-    tel: dict = {"backend": None, "tuples_visited": 0, "nodes": 0}
+    tel: dict = {"tuples_visited": 0, "nodes": 0}
     config = _common_config(args)
     try:
-        tel["backend"] = resolve_backend(None)
         code = _HANDLERS[args.command](args, rows, tel, config)
     except CapacityError as exc:
         tel["capacity"] = str(exc)
         code = EXIT_CAPACITY
-    except (ParseError, OSError, ValueError, RuntimeError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"growthlab: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"growthlab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
     if not args.deterministic:
         tel["wall_ms"] = int((time.perf_counter() - started) * 1000)
     envelope = {

@@ -5,25 +5,19 @@ recovery formulas, brute-force labelled counting of hereditary classes
 given by generators or forbidden induced subgraphs, and the largest
 semi-induced half-graph in a graph.
 
-Graphs are adjacency bitsets (one Python int per vertex).  Membership
-testing is backtracking induced-subgraph isomorphism; for hosts of at
-most 64 vertices a numba kernel sweeps whole ranges of the 2^C(n,2)
-labelled-graph space at once, and those ranges parallelise across
-threads because the kernel releases the GIL.  The pure path has the
-same contract with no size limit.
+Graphs are adjacency bitsets (one Python int per vertex), with no
+limit on their size.  Membership testing is backtracking induced-subgraph
+isomorphism on those bitsets, and labelled counting sweeps the whole
+2^C(n,2) labelled-graph space with it, one mask at a time.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from ._backend import HAS_NUMBA, njit, resolve_backend
 from .errors import CapacityError, ParseError
 
 MODE_GENERATORS = "generators"
@@ -228,90 +222,6 @@ def labelled_path_count(k: int) -> int:
 # membership: backtracking induced-subgraph isomorphism
 # ---------------------------------------------------------------------------
 
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _embeds_numba(pat, p, host, h, budget):  # pragma: no cover
-        # returns (found, nodes, capacity_hit)
-        if p > h:
-            return False, np.int64(0), False
-        full = np.uint64(0xFFFFFFFFFFFFFFFF) if h == 64 else np.uint64((1 << h) - 1)
-        img = np.empty(p, dtype=np.int64)
-        cand = np.empty(p, dtype=np.uint64)
-        cand[0] = full
-        used = np.uint64(0)
-        nodes = np.int64(0)
-        depth = 0
-        while True:
-            if cand[depth] == np.uint64(0):
-                depth -= 1
-                if depth < 0:
-                    return False, nodes, False
-                used &= ~(np.uint64(1) << np.uint64(img[depth]))
-                continue
-            low = cand[depth] & (np.uint64(0) - cand[depth])
-            cand[depth] ^= low
-            w = np.int64(np.log2(np.float64(low)) + 0.5)
-            nodes += 1
-            if nodes > budget:
-                return False, nodes, True
-            if depth == p - 1:
-                return True, nodes, False
-            img[depth] = w
-            used |= np.uint64(1) << np.uint64(w)
-            nxt = full & ~used
-            for e in range(depth + 1):
-                if pat[depth + 1] >> np.uint64(e) & np.uint64(1):
-                    nxt &= host[img[e]]
-                else:
-                    nxt &= ~host[img[e]]
-            depth += 1
-            cand[depth] = nxt
-        return False, nodes, False
-
-    @njit(cache=True, nogil=True)
-    def _count_masks_numba(
-        n, lo, hi, adjs, sizes, generator_mode, budget
-    ):  # pragma: no cover
-        # count labelled graphs on [n], masks lo..hi-1, in the class
-        count = np.int64(0)
-        nodes_total = np.int64(0)
-        mask_adj = np.empty(n, dtype=np.uint64)
-        for mask in range(lo, hi):
-            for i in range(n):
-                mask_adj[i] = np.uint64(0)
-            bit = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if mask >> bit & 1:
-                        mask_adj[i] |= np.uint64(1) << np.uint64(j)
-                        mask_adj[j] |= np.uint64(1) << np.uint64(i)
-                    bit += 1
-            member = not generator_mode
-            for g in range(adjs.shape[0]):
-                if generator_mode:
-                    found, nodes, cap = _embeds_numba(mask_adj, n, adjs[g], sizes[g], budget)
-                    nodes_total += nodes
-                    if cap:
-                        return count, nodes_total, np.int64(1)
-                    if found:
-                        member = True
-                        break
-                else:
-                    if sizes[g] > n:
-                        continue
-                    found, nodes, cap = _embeds_numba(adjs[g], sizes[g], mask_adj, n, budget)
-                    nodes_total += nodes
-                    if cap:
-                        return count, nodes_total, np.int64(1)
-                    if found:
-                        member = False
-                        break
-            if member:
-                count += 1
-        return count, nodes_total, np.int64(0)
-
-
 def _embeds_python(pat: list[int], host: list[int], budget: int) -> tuple[bool, int]:
     """Induced embedding of the pattern into the host, pure-int bitsets."""
     p, h = len(pat), len(host)
@@ -361,11 +271,11 @@ def _mask_adj(n: int, mask: int) -> list[int]:
 
 
 def _count_masks_python(
-    n: int, lo: int, hi: int, graphs: list[list[int]], generator_mode: bool, budget: int
+    n: int, graphs: list[list[int]], generator_mode: bool, budget: int
 ) -> tuple[int, int]:
     count = 0
     nodes_total = 0
-    for mask in range(lo, hi):
+    for mask in range(1 << comb(n, 2)):
         adj = _mask_adj(n, mask)
         member = not generator_mode
         for other in graphs:
@@ -404,17 +314,12 @@ def count_labelled(
     spec: ClassSpec,
     n: int,
     *,
-    jobs: int = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    backend: str | None = None,
 ) -> int:
     """Exact number of labelled graphs on [n] that belong to the class.
 
     Enumerates all 2^C(n,2) graphs on [n] and tests membership, so n is
-    capped at MAX_COUNT_N.  With the numba backend and jobs > 1 the mask
-    space splits into contiguous ranges summed in range order, keeping
-    the result independent of scheduling.  Hosts above 64 vertices are
-    handled by the pure path regardless of backend.
+    capped at MAX_COUNT_N.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -422,45 +327,9 @@ def count_labelled(
         raise CapacityError(f"labelled counting is capped at n = {MAX_COUNT_N}; got n = {n}")
     if n == 0:
         return 1
-    total_masks = 1 << comb(n, 2)
-    which = resolve_backend(backend)
-    use_numba = which == "numba" and all(g.v <= 64 for g in spec.graphs)
-    generator_mode = spec.mode == MODE_GENERATORS
-
-    if not use_numba:
-        graphs = [list(g.adj) for g in spec.graphs]
-        count, _ = _count_masks_python(n, 0, total_masks, graphs, generator_mode, node_budget)
-        return count
-
-    num = len(spec.graphs)
-    adjs = np.zeros((num, 64), dtype=np.uint64)
-    sizes = np.zeros(num, dtype=np.int64)
-    for gi, g in enumerate(spec.graphs):
-        sizes[gi] = g.v
-        for u in range(g.v):
-            adjs[gi, u] = np.uint64(g.adj[u])
-
-    jobs = max(1, jobs)
-    ranges = []
-    step = max(1, total_masks // max(jobs * 4, 1))
-    lo = 0
-    while lo < total_masks:
-        hi = min(lo + step, total_masks)
-        ranges.append((lo, hi))
-        lo = hi
-
-    def run(rng: tuple[int, int]):
-        return _count_masks_numba(n, rng[0], rng[1], adjs, sizes, generator_mode, node_budget)
-
-    if jobs == 1 or len(ranges) == 1:
-        results = [run(r) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, ranges))
-    for _, _, status in results:
-        if status:
-            raise CapacityError(f"membership node budget {node_budget} exceeded")
-    return int(sum(c for c, _, _ in results))
+    graphs = [list(g.adj) for g in spec.graphs]
+    count, _ = _count_masks_python(n, graphs, spec.mode == MODE_GENERATORS, node_budget)
+    return count
 
 
 def semi_induced_order(

@@ -7,17 +7,16 @@ the point of this module is to be trustworthy first and fast second.
 
 Tuples over a domain of size d are encoded as mixed-radix integers
 sum p_i * d^i, and the visited set is a flat byte array, so the state
-space d^n must fit the MAX_TUPLE_STATES cap.  The NumPy kernel works a
-whole BFS level at a time.  It splits each code into its k = n // 2 low
-digits and its n - k high digits.  The image of a code under a generator
-is then the sum of two lookup-table entries, one per half.  New codes are
-deduplicated by an in-place sort that keeps each entry unlike its
-predecessor.  For injective counts, the codes that repeat a point are
-marked visited before the search.  That marking pass uses the same split:
-repeats within the low half, repeats within the high half, and equal
-digits across the two halves.  A numba kernel with the same contract is
-used instead when numba imports (see _backend).  Two budgets protect the
-caller: a tuple budget on visited states (every BFS) and an element
+space d^n must fit the MAX_TUPLE_STATES cap.  One NumPy kernel does the
+search, a whole BFS level at a time.  It splits each code into its
+k = n // 2 low digits and its n - k high digits.  The image of a code
+under a generator is then the sum of two lookup-table entries, one per
+half.  New codes are deduplicated by an in-place sort that keeps each
+entry unlike its predecessor.  For injective counts, the codes that
+repeat a point are marked visited before the search.  That marking pass
+uses the same split: repeats within the low half, repeats within the
+high half, and equal digits across the two halves.  Two budgets protect
+the caller: a tuple budget on visited states (every BFS) and an element
 budget on group closure (only stabilizer_bound_check enumerates group
 elements).  Hitting either raises CapacityError, never a wrong count.
 """
@@ -28,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import HAS_NUMBA, njit, resolve_backend
 from .errors import CapacityError
 
 DEFAULT_TUPLE_BUDGET = 10**7
@@ -85,71 +83,6 @@ class OrbitCount:
     injective: bool
     count: int
     tuples_visited: int
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _bfs_orbits_numba(gens, domain, n, injective, budget):  # pragma: no cover
-        size = np.int64(1)
-        for _ in range(n):
-            size *= domain
-        n_gens = gens.shape[0]
-        visited = np.zeros(size, dtype=np.uint8)
-        queue = np.empty(1024, dtype=np.int64)
-        digits = np.empty(n, dtype=np.int64)
-        seen = np.zeros(domain, dtype=np.uint8)
-        count = np.int64(0)
-        total = np.int64(0)
-
-        for start in range(size):
-            if visited[start]:
-                continue
-            code = start
-            for i in range(n):
-                digits[i] = code % domain
-                code //= domain
-            if injective:
-                ok = True
-                for i in range(n):
-                    if seen[digits[i]]:
-                        ok = False
-                    seen[digits[i]] = 1
-                for i in range(n):
-                    seen[digits[i]] = 0
-                if not ok:
-                    visited[start] = 1
-                    continue
-            count += 1
-            visited[start] = 1
-            total += 1
-            if total > budget:
-                return count, total, np.int64(1)
-            queue[0] = start
-            head = np.int64(0)
-            tail = np.int64(1)
-            while head < tail:
-                code = queue[head]
-                head += 1
-                for i in range(n):
-                    digits[i] = code % domain
-                    code //= domain
-                for j in range(n_gens):
-                    nxt = np.int64(0)
-                    for i in range(n - 1, -1, -1):
-                        nxt = nxt * domain + gens[j, digits[i]]
-                    if not visited[nxt]:
-                        visited[nxt] = 1
-                        total += 1
-                        if total > budget:
-                            return count, total, np.int64(1)
-                        if tail == queue.shape[0]:
-                            bigger = np.empty(queue.shape[0] * 2, dtype=np.int64)
-                            bigger[:tail] = queue
-                            queue = bigger
-                        queue[tail] = nxt
-                        tail += 1
-        return count, total, np.int64(0)
 
 
 def _digits(size: int, domain: int, width: int) -> np.ndarray:
@@ -242,9 +175,7 @@ def _bfs_orbits_numpy(gens: np.ndarray, domain: int, n: int, injective: bool, bu
     return count, total
 
 
-def _count_orbits(
-    group: FinPermGroup, n: int, injective: bool, budget: int, backend: str | None
-) -> OrbitCount:
+def _count_orbits(group: FinPermGroup, n: int, injective: bool, budget: int) -> OrbitCount:
     if n < 0:
         raise ValueError("tuple length must be non-negative")
     if n == 0:
@@ -259,12 +190,6 @@ def _count_orbits(
     gens = np.array(group.generators, dtype=np.int64).reshape(
         len(group.generators), group.degree
     )
-    which = resolve_backend(backend)
-    if which == "numba":
-        count, total, status = _bfs_orbits_numba(gens, group.degree, n, injective, budget)
-        if status:
-            raise CapacityError(f"tuple budget {budget} exceeded after visiting {total} tuples")
-        return OrbitCount(n, injective, int(count), int(total))
     count, total = _bfs_orbits_numpy(gens, group.degree, n, injective, budget)
     return OrbitCount(n, injective, count, total)
 
@@ -274,13 +199,12 @@ def count_orbits_injective(
     n: int,
     *,
     budget: int = DEFAULT_TUPLE_BUDGET,
-    backend: str | None = None,
 ) -> OrbitCount:
     """Orbits of the generated group on injective n-tuples.
 
     1 for n = 0 and 0 for n above the degree, both without search.
     """
-    return _count_orbits(group, n, True, budget, backend)
+    return _count_orbits(group, n, True, budget)
 
 
 def count_orbits_all(
@@ -288,10 +212,9 @@ def count_orbits_all(
     n: int,
     *,
     budget: int = DEFAULT_TUPLE_BUDGET,
-    backend: str | None = None,
 ) -> OrbitCount:
     """Orbits of the generated group on all n-tuples."""
-    return _count_orbits(group, n, False, budget, backend)
+    return _count_orbits(group, n, False, budget)
 
 
 def truncate_expr(expr, m: int) -> FinPermGroup:
@@ -377,7 +300,6 @@ def stabilizer_bound_check(
     *,
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-    backend: str | None = None,
 ) -> bool:
     """Check l_n(G_a) <= n * l_n(G) + l_{n+1}(G) for the point stabilizer.
 
@@ -399,7 +321,7 @@ def stabilizer_bound_check(
     elements = _enumerate_elements(group, element_budget)
     stab_gens = tuple(e for e in elements if e[a] == a)
     stabilizer = FinPermGroup(group.degree, stab_gens)
-    l_n_stab = count_orbits_injective(stabilizer, n, budget=tuple_budget, backend=backend).count
-    l_n = count_orbits_injective(group, n, budget=tuple_budget, backend=backend).count
-    l_n1 = count_orbits_injective(group, n + 1, budget=tuple_budget, backend=backend).count
+    l_n_stab = count_orbits_injective(stabilizer, n, budget=tuple_budget).count
+    l_n = count_orbits_injective(group, n, budget=tuple_budget).count
+    l_n1 = count_orbits_injective(group, n + 1, budget=tuple_budget).count
     return l_n_stab <= n * l_n + l_n1

@@ -107,17 +107,23 @@ class BoundReport:
                 raise ValueError("failing index must lie in verified_range")
 
 
-@lru_cache(maxsize=None)
+#: rows 0..len-1 of the S(n, k) table, k = 0..n, grown on demand
+_STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
+
+
 def _stirling_row(n: int) -> tuple[int, ...]:
-    # row n of the S(n, k) table, k = 0..n
-    if n == 0:
-        return (1,)
-    prev = _stirling_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        above = prev[k] if k < n else 0
-        row[k] = k * above + prev[k - 1]
-    return tuple(row)
+    # builds the missing rows upward from the highest cached one, so the
+    # depth of the Python stack does not depend on n
+    rows = _STIRLING_ROWS
+    while len(rows) <= n:
+        m = len(rows)
+        prev = rows[-1]
+        row = [0] * (m + 1)
+        for k in range(1, m + 1):
+            above = prev[k] if k < m else 0
+            row[k] = k * above + prev[k - 1]
+        rows.append(tuple(row))
+    return rows[n]
 
 
 def stirling2(n: int, k: int) -> int:

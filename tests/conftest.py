@@ -1,4 +1,11 @@
-"""Shared fixtures: data paths, CLI runner, backend parametrization."""
+"""Shared fixtures: data paths, the CLI runner, and the kernel id.
+
+Each hot loop (the orbit BFS and the labelled mask sweep) has one
+kernel, the NumPy/Python one.  Tests of those loops request the
+``kernel`` fixture only so that their ids keep the ``[numpy]`` part
+they carried when a second kernel existed, and stay comparable with
+earlier test records.
+"""
 from __future__ import annotations
 
 import json
@@ -8,11 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from growthlab import HAS_NUMBA
-
 DATA = Path(__file__).parent / "data"
-
-BACKENDS = ("numpy", "numba") if HAS_NUMBA else ("numpy",)
 
 
 @pytest.fixture(scope="session")
@@ -20,8 +23,8 @@ def data_dir() -> Path:
     return DATA
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request) -> str:
+@pytest.fixture(params=["numpy"])
+def kernel(request) -> str:
     return request.param
 
 

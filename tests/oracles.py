@@ -49,6 +49,19 @@ def brute_bell(n: int) -> int:
     return len(brute_partitions(n))
 
 
+def bell_by_triangle(n: int) -> int:
+    """B_n from the Bell triangle: each row opens with the last entry of
+    the row above, and each further entry adds the entry above it to its
+    left neighbour.  Row n opens with B_n."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
 def refines(p: list[frozenset[int]], q: list[frozenset[int]]) -> bool:
     return all(any(block <= other for other in q) for block in p)
 

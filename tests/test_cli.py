@@ -7,8 +7,9 @@ import json
 
 import pytest
 
-from growthlab import bell
+from growthlab import bell, cli
 
+import oracles
 from conftest import DATA, cli_json, run_cli
 
 E_REL = str(DATA / "e_rel.expr")
@@ -188,6 +189,16 @@ def test_oeis_capacity_keeps_partial_rows(tmp_path):
     assert len(rows_by_name(env, "term")) == 9  # 0..8 compared before the cap
 
 
+def test_oeis_deep_bell_term_in_a_fresh_process(tmp_path):
+    bfile = tmp_path / "b700.txt"
+    bfile.write_text(f"700 {oracles.bell_by_triangle(700)}\n")
+    code, env = cli_json(
+        "oeis", "--seq", "bell", "--bfile", str(bfile), "--offset", "0", "--max-n", "700"
+    )
+    assert code == 0
+    assert [r["verdict"] for r in rows_by_name(env, "term")] == ["match"]
+
+
 def test_oeis_requires_seq_or_expr():
     proc = run_cli("oeis", "--bfile", B110)
     assert proc.returncode == 2
@@ -301,6 +312,7 @@ def test_csv_output_shape():
         ("seq", E_REL, "--max-n", "6"),
         ("bounds", E_REL, "--max-n", "40"),
         ("witness", "coding", PAIR9, "--size", "2"),
+        ("graphs", "count", "--class-file", P3_K3, "--mode", "forbidden", "--n", "5"),
     ],
 )
 def test_deterministic_runs_are_byte_identical(args):
@@ -320,7 +332,18 @@ def test_deterministic_omits_wall_time():
 def test_envelope_structure():
     _, env = cli_json("seq", E_REL, "--max-n", "3")
     assert set(env) == {"command", "config", "results", "telemetry"}
-    assert env["telemetry"]["backend"] in {"numba", "numpy"}
+    assert set(env["telemetry"]) == {"tuples_visited", "nodes", "wall_ms"}
+
+
+def test_internal_error_is_not_input_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "eval_lseq", broken)
+    assert cli.main(["seq", E_REL, "--max-n", "3"]) == cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert err.startswith("growthlab: internal error: RuntimeError: injected fault")
+    assert "Traceback" in err
 
 
 def test_unknown_command_is_input_error():

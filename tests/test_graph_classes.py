@@ -80,26 +80,30 @@ def test_half_graph_structure():
 # Labelled counting vs brute force
 
 
-def test_forbidden_single_edge_counts_one(backend):
+@pytest.mark.usefixtures("kernel")
+def test_forbidden_single_edge_counts_one():
     spec = ClassSpec(MODE_FORBIDDEN, (K2,))
     for n in range(1, 5):
-        assert count_labelled(spec, n, backend=backend) == 1
+        assert count_labelled(spec, n) == 1
 
 
-def test_forbidden_p3_counts_equivalence_graphs(backend):
+@pytest.mark.usefixtures("kernel")
+def test_forbidden_p3_counts_equivalence_graphs():
     # No induced P_3 means disjoint unions of cliques: Bell many per n.
     spec = ClassSpec(MODE_FORBIDDEN, (P3,))
     want = [1, 1, 2, 5, 15]
     for n in range(1, 5):
-        assert count_labelled(spec, n, backend=backend) == want[n]
+        assert count_labelled(spec, n) == want[n]
 
 
-def test_generators_path_triangle(backend):
+@pytest.mark.usefixtures("kernel")
+def test_generators_path_triangle():
     spec = ClassSpec(MODE_GENERATORS, (P3, K3))
-    assert count_labelled(spec, 3, backend=backend) == 4
+    assert count_labelled(spec, 3) == 4
 
 
-def test_count_matches_brute(backend):
+@pytest.mark.usefixtures("kernel")
+def test_count_matches_brute():
     cases = [
         (MODE_FORBIDDEN, (K2,)),
         (MODE_FORBIDDEN, (P3,)),
@@ -112,7 +116,7 @@ def test_count_matches_brute(backend):
         spec = ClassSpec(mode, graphs)
         brute_graphs = [edge_sets(g) for g in graphs]
         for n in range(1, 5):
-            got = count_labelled(spec, n, backend=backend)
+            got = count_labelled(spec, n)
             want = oracles.brute_count_labelled(mode, brute_graphs, n)
             assert got == want, (mode, n)
 
@@ -133,29 +137,17 @@ def test_count_matches_brute_random_generators(g, n):
     assert count_labelled(spec, n) == want
 
 
-def test_count_backends_agree():
-    pytest.importorskip("numba")
-    spec = ClassSpec(MODE_GENERATORS, (half_graph(4),))
-    assert count_labelled(spec, 4, backend="numpy") == count_labelled(
-        spec, 4, backend="numba"
-    )
-
-
-def test_count_jobs_split_is_exact():
-    spec = ClassSpec(MODE_FORBIDDEN, (P3,))
-    assert count_labelled(spec, 5, jobs=3) == count_labelled(spec, 5, jobs=1)
-
-
 def test_count_rejects_large_n():
     spec = ClassSpec(MODE_FORBIDDEN, (K2,))
     with pytest.raises(CapacityError):
         count_labelled(spec, MAX_COUNT_N + 1)
 
 
-def test_count_node_budget(backend):
+@pytest.mark.usefixtures("kernel")
+def test_count_node_budget():
     spec = ClassSpec(MODE_GENERATORS, (half_graph(4),))
     with pytest.raises(CapacityError):
-        count_labelled(spec, 5, node_budget=3, backend=backend)
+        count_labelled(spec, 5, node_budget=3)
 
 
 def test_class_spec_validation():
@@ -193,11 +185,12 @@ def test_labelled_path_count_closed_form():
         assert labelled_path_count(k) == factorial(k) // 2
 
 
-def test_labelled_path_count_matches_generator_count(backend):
+@pytest.mark.usefixtures("kernel")
+def test_labelled_path_count_matches_generator_count():
     # On exactly k vertices the age of P_k contains only P_k itself.
     for k in (3, 4, 5):
         spec = ClassSpec(MODE_GENERATORS, (path(k),))
-        assert count_labelled(spec, k, backend=backend) == labelled_path_count(k)
+        assert count_labelled(spec, k) == labelled_path_count(k)
 
 
 def test_labelled_path_count_rejects_single_vertex():

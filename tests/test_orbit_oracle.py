@@ -54,23 +54,26 @@ def test_symmetric_and_trivial_constructors():
 # Closed forms
 
 
-def test_symmetric_group_orbit_counts(backend):
+@pytest.mark.usefixtures("kernel")
+def test_symmetric_group_orbit_counts():
     g = FinPermGroup.symmetric(4)
     for n in range(6):
         expect = 1 if n <= 4 else 0
-        assert count_orbits_injective(g, n, backend=backend).count == expect
+        assert count_orbits_injective(g, n).count == expect
 
 
-def test_trivial_group_counts_injections(backend):
+@pytest.mark.usefixtures("kernel")
+def test_trivial_group_counts_injections():
     g = FinPermGroup.trivial(4)
     for n in range(6):
         expect = factorial(4) // factorial(4 - n) if n <= 4 else 0
-        assert count_orbits_injective(g, n, backend=backend).count == expect
+        assert count_orbits_injective(g, n).count == expect
 
 
-def test_empty_tuple_has_one_orbit(backend):
-    assert count_orbits_injective(FinPermGroup.symmetric(3), 0, backend=backend).count == 1
-    assert count_orbits_all(FinPermGroup.symmetric(3), 0, backend=backend).count == 1
+@pytest.mark.usefixtures("kernel")
+def test_empty_tuple_has_one_orbit():
+    assert count_orbits_injective(FinPermGroup.symmetric(3), 0).count == 1
+    assert count_orbits_all(FinPermGroup.symmetric(3), 0).count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +81,21 @@ def test_empty_tuple_has_one_orbit(backend):
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-def test_injective_orbits_match_brute(backend, name):
+@pytest.mark.usefixtures("kernel")
+def test_injective_orbits_match_brute(name):
     g = ZOO[name]
     for n in range(6):
-        got = count_orbits_injective(g, n, backend=backend).count
+        got = count_orbits_injective(g, n).count
         want = oracles.brute_orbit_count(g.generators, g.degree, n, injective=True)
         assert got == want, (name, n)
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-def test_all_tuple_orbits_match_brute(backend, name):
+@pytest.mark.usefixtures("kernel")
+def test_all_tuple_orbits_match_brute(name):
     g = ZOO[name]
     for n in range(6):
-        got = count_orbits_all(g, n, backend=backend).count
+        got = count_orbits_all(g, n).count
         want = oracles.brute_orbit_count(g.generators, g.degree, n, injective=False)
         assert got == want, (name, n)
 
@@ -105,16 +110,6 @@ def test_stirling_identity_links_all_and_injective(name):
         )
 
 
-def test_backends_agree(backend):
-    # Same counts and same telemetry on every backend.
-    g = ZOO["d4"]
-    r = count_orbits_injective(g, 3, backend=backend)
-    assert (r.count, r.tuples_visited) == (
-        count_orbits_injective(g, 3, backend="numpy").count,
-        count_orbits_injective(g, 3, backend="numpy").tuples_visited,
-    )
-
-
 def test_telemetry_counts_visited_tuples():
     r = count_orbits_injective(FinPermGroup.symmetric(3), 2)
     assert r.tuples_visited == 6  # all injective pairs from 3 points
@@ -122,15 +117,16 @@ def test_telemetry_counts_visited_tuples():
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-def test_tuples_visited_covers_the_state_space(backend, name):
+@pytest.mark.usefixtures("kernel")
+def test_tuples_visited_covers_the_state_space(name):
     # Every tuple of the counted kind lies in exactly one orbit, so the
     # BFS marks each of them once: deg^n tuples in all, and the falling
     # factorial deg (deg - 1) ... (deg - n + 1) of them injective.
     g = ZOO[name]
     for n in range(1, 6):
         falling = perm(g.degree, n)
-        assert count_orbits_injective(g, n, backend=backend).tuples_visited == falling, n
-        assert count_orbits_all(g, n, backend=backend).tuples_visited == g.degree**n, n
+        assert count_orbits_injective(g, n).tuples_visited == falling, n
+        assert count_orbits_all(g, n).tuples_visited == g.degree**n, n
 
 
 def test_bell_truncation_count_and_telemetry():
@@ -150,11 +146,12 @@ def test_tuple_budget_exhaustion_raises():
         count_orbits_injective(FinPermGroup.trivial(10), 4, budget=100)
 
 
-def test_tuple_budget_exhaustion_inside_the_frontier_raises(backend):
+@pytest.mark.usefixtures("kernel")
+def test_tuple_budget_exhaustion_inside_the_frontier_raises():
     # S_6 has one orbit of 120 injective triples: the budget runs out
     # while the BFS grows that orbit, not between orbit starts.
     with pytest.raises(CapacityError):
-        count_orbits_injective(FinPermGroup.symmetric(6), 3, budget=50, backend=backend)
+        count_orbits_injective(FinPermGroup.symmetric(6), 3, budget=50)
 
 
 def test_state_space_cap():
@@ -245,15 +242,17 @@ def test_stabilizer_bound_element_budget():
 # Determinism
 
 
-def test_counts_are_deterministic(backend):
+@pytest.mark.usefixtures("kernel")
+def test_counts_are_deterministic():
     g = ZOO["a4"]
-    runs = [count_orbits_injective(g, 3, backend=backend) for _ in range(2)]
+    runs = [count_orbits_injective(g, 3) for _ in range(2)]
     assert runs[0] == runs[1]
 
 
-def test_injective_zero_beyond_degree(backend):
+@pytest.mark.usefixtures("kernel")
+def test_injective_zero_beyond_degree():
     g = ZOO["s3"]
-    assert count_orbits_injective(g, 4, backend=backend).count == 0
+    assert count_orbits_injective(g, 4).count == 0
 
 
 def test_all_tuples_count_equals_bell_partition_bound():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from growthlab import CapacityError, IntSeq, bell, bell2, check_bounds, meet_trivial_pairs
 from growthlab import stirling2, stirling_transform
+from growthlab import seq_core
 from growthlab.seq_core import KIND_BELL_LOWER, KIND_CELLULAR, KIND_FACTORIAL_UPPER
 from growthlab.seq_core import MEET_TRIVIAL_MAX_N
 
@@ -55,6 +56,13 @@ def test_stirling2_against_brute():
 def test_stirling2_row_sums_are_bell():
     for n in range(12):
         assert sum(stirling2(n, k) for k in range(n + 1)) == bell(n)
+
+
+def test_stirling2_deep_row_builds_without_recursion(monkeypatch):
+    # from an empty row cache all 700 rows are built in one call, deeper
+    # than the default recursion limit allows one stack frame per row
+    monkeypatch.setattr(seq_core, "_STIRLING_ROWS", [(1,)])
+    assert sum(stirling2(700, k) for k in range(701)) == oracles.bell_by_triangle(700)
 
 
 def test_stirling2_rejects_negative():
