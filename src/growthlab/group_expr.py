@@ -16,11 +16,12 @@ generator compose left to right.  An omitted gens list means the
 trivial group.
 
 eval_lseq computes the injective-tuple growth sequence by structural
-recursion: orbit BFS at finite leaves, EGF product at products, and
-exp(f - 1) at wreath layers.  classify sorts expressions into finite,
-cellular and msnc (infinite, every wreath layer over a finite domain,
-versus some wreath layer over an infinite one); the label is syntactic,
-which the command-line layer makes explicit.
+recursion on integers: orbit BFS at finite leaves, a binomial
+convolution at products, and the exponential formula at wreath layers.
+classify sorts expressions into finite, cellular and msnc (infinite,
+every wreath layer over a finite domain, versus some wreath layer over
+an infinite one); the label is syntactic, which the command-line layer
+makes explicit.
 """
 
 from __future__ import annotations
@@ -30,10 +31,17 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Sequence, Union
 
-from .egf_algebra import Egf, egf_exp_shift, egf_product, from_seq, to_seq
 from .errors import ParseError
 from .orbit_oracle import FinPermGroup, count_orbits_injective
-from .seq_core import BoundReport, IntSeq, Rational, check_bounds, stirling_transform
+from .seq_core import (
+    BoundReport,
+    IntSeq,
+    Rational,
+    binomial_convolution,
+    check_bounds,
+    exp_shift,
+    stirling_transform,
+)
 
 CLASS_FINITE = "finite"
 CLASS_CELLULAR = "cellular"
@@ -281,36 +289,36 @@ def format_expr(expr: GroupExpr) -> str:
     raise TypeError(f"not a group expression: {expr!r}")
 
 
-def _leaf_egf(group: FinPermGroup, order: int) -> Egf:
-    values = []
-    for n in range(order + 1):
-        if n > group.degree:
-            values.append(0)
-        else:
-            values.append(count_orbits_injective(group, n).count)
-    return from_seq(IntSeq(tuple(values)))
+def _leaf_seq(group: FinPermGroup, n_max: int) -> IntSeq:
+    return IntSeq(
+        tuple(
+            count_orbits_injective(group, n).count if n <= group.degree else 0
+            for n in range(n_max + 1)
+        )
+    )
 
 
-def _expr_egf(expr: GroupExpr, order: int) -> Egf:
+def _expr_seq(expr: GroupExpr, n_max: int) -> IntSeq:
     if isinstance(expr, Finite):
-        return _leaf_egf(expr.group, order)
+        return _leaf_seq(expr.group, n_max)
     if isinstance(expr, DirectProduct):
-        return reduce(egf_product, (_expr_egf(f, order) for f in expr.factors))
+        return reduce(binomial_convolution, (_expr_seq(f, n_max) for f in expr.factors))
     if isinstance(expr, WreathSomega):
-        return egf_exp_shift(_expr_egf(expr.base, order))
+        return exp_shift(_expr_seq(expr.base, n_max))
     raise TypeError(f"not a group expression: {expr!r}")
 
 
 def eval_lseq(expr: GroupExpr, n_max: int) -> IntSeq:
     """Injective-tuple growth sequence l_0..l_{n_max} of the expression.
 
-    Exact for the group the expression generates.  The recursion keeps
-    everything as truncated EGFs and converts once at the end; a
-    non-integral coefficient there would mean a bug, not data error.
+    Exact for the group the expression generates.  Every step is an
+    integer recurrence on prefixes of length n_max + 1: orbit counts at
+    the leaves, binomial_convolution at products and exp_shift at
+    wreath layers.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return to_seq(_expr_egf(expr, n_max), label=format_expr(expr))
+    return IntSeq(_expr_seq(expr, n_max).values, format_expr(expr))
 
 
 def eval_sseq(expr: GroupExpr, n_max: int) -> IntSeq:

@@ -2,8 +2,10 @@
 
 Stirling numbers of the second kind, Bell and second-order Bell numbers,
 the Stirling transform linking the two growth sequences of a structure,
-and growth-bound comparators.  Everything here is exact big-integer or
-rational arithmetic; no verdict ever depends on floating point.
+the binomial convolution and exponential formula that give the growth
+sequences of products and wreath layers, and growth-bound comparators.
+Everything here is exact big-integer or rational arithmetic; no verdict
+ever depends on floating point.
 
 Sequences are 0-indexed with value 1 at index 0 for any growth sequence
 of a non-empty structure (one empty-tuple orbit).
@@ -37,7 +39,7 @@ class IntSeq:
     """A finite prefix (a_0, ..., a_N) of a non-negative integer sequence.
 
     ``values[n]`` is a_n; indexing is always from 0.  Instances are
-    immutable and safe to share between threads.
+    immutable.
 
     Monotonicity from index 1 holds for growth sequences of infinite
     structures but not for arbitrary sequences, so it is offered as the
@@ -174,6 +176,42 @@ def stirling_transform(l: IntSeq) -> IntSeq:
         vals.append(sum(row[k] * l[k] for k in range(1, n + 1)))
     label = f"stirling_transform({l.label})" if l.label else ""
     return IntSeq(tuple(vals), label)
+
+
+def binomial_convolution(a: IntSeq, b: IntSeq) -> IntSeq:
+    """The sequence c with c_n = sum_k C(n, k) * a_k * b_{n-k}.
+
+    The injective-tuple growth sequence of a direct product: an n-tuple
+    splits its positions between the two factors.  Both prefixes must
+    have the same length.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"prefix lengths differ: {len(a)} vs {len(b)}")
+    return IntSeq(
+        tuple(
+            sum(math.comb(n, k) * a[k] * b[n - k] for k in range(n + 1))
+            for n in range(len(a))
+        )
+    )
+
+
+def exp_shift(a: IntSeq) -> IntSeq:
+    """The exponential formula: b_0 = 1 and
+    b_n = sum_{k=1}^{n} C(n-1, k-1) * a_k * b_{n-k}.
+
+    The injective-tuple growth sequence of e wr S_omega from that of e:
+    the positions that share a copy with the first one are k in number,
+    chosen in C(n-1, k-1) ways, and their orbits are those of e on
+    k-tuples.  Needs a_0 = 1.  Terms with a_k = 0 are skipped, so over a
+    finite leaf each b_n costs time linear in the leaf's degree.
+    """
+    if a[0] != 1:
+        raise ValueError(f"exp_shift needs a_0 = 1, got {a[0]}")
+    terms = [(k, a_k) for k, a_k in enumerate(a) if k and a_k]
+    b = [1]
+    for n in range(1, len(a)):
+        b.append(sum(math.comb(n - 1, k - 1) * a_k * b[n - k] for k, a_k in terms if k <= n))
+    return IntSeq(tuple(b))
 
 
 def _as_fraction(x: Rational, name: str) -> Fraction:

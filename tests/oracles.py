@@ -10,7 +10,9 @@ are right).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 # first values of the partition count (number of set partitions of [n])
 BELL = (
@@ -102,6 +104,39 @@ def brute_involutions(n: int) -> int:
     return sum(
         all(p[p[i]] == i for i in range(n)) for p in permutations(range(n))
     )
+
+
+def involutions_by_recurrence(n: int) -> list[int]:
+    """Involution numbers a_0..a_n: point n is fixed or swapped with one
+    of the n - 1 others, so a_n = a_{n-1} + (n - 1) * a_{n-2}."""
+    a = [1, 1]
+    for m in range(2, n + 1):
+        a.append(a[m - 1] + (m - 1) * a[m - 2])
+    return a[: n + 1]
+
+
+def brute_exp_shift(a) -> list[Fraction]:
+    """The sequence whose EGF is exp(f - 1), f the EGF of a (a_0 = 1),
+    by series composition: the partial sums of sum_k (f - 1)^k / k!,
+    truncated at the length of a, in exact rationals.  Entry n is the
+    coefficient times n!, so a non-integral value shows as a Fraction."""
+    order = len(a) - 1
+    g = [Fraction(v, factorial(i)) for i, v in enumerate(a)]
+    g[0] -= 1
+    acc = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * order  # g^0
+    for k in range(order + 1):
+        inv = Fraction(1, factorial(k))
+        for i in range(order + 1):
+            acc[i] += power[i] * inv
+        nxt = [Fraction(0)] * (order + 1)
+        for i in range(order + 1):
+            if power[i] == 0:
+                continue
+            for j in range(order + 1 - i):
+                nxt[i + j] += power[i] * g[j]
+        power = nxt
+    return [c * factorial(n) for n, c in enumerate(acc)]
 
 
 def group_closure(gens, degree: int) -> list[tuple[int, ...]]:

@@ -1,62 +1,26 @@
-"""Exact-rational EGF operations: product, wreath composition, exp shift."""
+"""The sequence calculus: binomial convolution and the exponential formula.
+
+These are the EGF product and exp(f - 1), worked on the integer
+coefficients a_n rather than on a_n / n!.  The file keeps its name so
+that test ids compare with earlier records.
+"""
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from growthlab import Egf, IntSeq, NonIntegralError, bell
-from growthlab import egf_exp_shift, egf_product, egf_wreath, from_seq, to_seq
+from growthlab import IntSeq, bell, binomial_convolution, exp_shift
 
 import oracles
 
 seqs = st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=10)
 
 
-def _exp_egf(order: int) -> Egf:
-    return from_seq(IntSeq((1,) * (order + 1)))
-
-
-# ---------------------------------------------------------------------------
-# Representation
-
-
-def test_egf_rejects_empty():
-    with pytest.raises(ValueError):
-        Egf(())
-
-
-def test_egf_coerces_entries_to_fractions():
-    f = Egf((1, Fraction(1, 2)))  # type: ignore[arg-type]
-    assert f.coeffs == (Fraction(1), Fraction(1, 2))
-    assert f.order == 1
-
-
-@given(seqs)
-def test_roundtrip_from_seq_to_seq(vals):
-    s = IntSeq(tuple(vals), label="l")
-    back = to_seq(from_seq(s), label="l")
-    assert list(back) == vals
-    assert back.label == "l"
-
-
-def test_from_seq_divides_by_factorial():
-    f = from_seq(IntSeq((1, 2, 6)))
-    assert f.coeffs == (Fraction(1), Fraction(2), Fraction(3))
-
-
-def test_to_seq_rejects_non_integral_coefficient():
-    with pytest.raises(NonIntegralError) as exc_info:
-        to_seq(Egf((Fraction(1), Fraction(1, 3))))
-    assert "index 1" in str(exc_info.value)
-
-
-def test_to_seq_rejects_negative_value():
-    with pytest.raises(NonIntegralError):
-        to_seq(Egf((Fraction(1), Fraction(-1))))
+def _ones(n_max: int) -> IntSeq:
+    return IntSeq((1,) * (n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +31,7 @@ def test_to_seq_rejects_negative_value():
 def test_product_is_binomial_convolution(a, b):
     n = min(len(a), len(b))
     a, b = a[:n], b[:n]
-    prod = to_seq(egf_product(from_seq(IntSeq(tuple(a))), from_seq(IntSeq(tuple(b)))))
+    prod = binomial_convolution(IntSeq(tuple(a)), IntSeq(tuple(b)))
     for m in range(n):
         assert prod[m] == sum(comb(m, k) * a[k] * b[m - k] for k in range(m + 1))
 
@@ -75,77 +39,40 @@ def test_product_is_binomial_convolution(a, b):
 @given(seqs, seqs)
 def test_product_commutes(a, b):
     n = min(len(a), len(b))
-    fa, fb = from_seq(IntSeq(tuple(a[:n]))), from_seq(IntSeq(tuple(b[:n])))
-    assert egf_product(fa, fb) == egf_product(fb, fa)
+    sa, sb = IntSeq(tuple(a[:n])), IntSeq(tuple(b[:n]))
+    assert binomial_convolution(sa, sb) == binomial_convolution(sb, sa)
 
 
 def test_product_rejects_order_mismatch():
     with pytest.raises(ValueError):
-        egf_product(Egf((Fraction(1),)), Egf((Fraction(1), Fraction(1))))
+        binomial_convolution(IntSeq((1,)), IntSeq((1, 1)))
 
 
 # ---------------------------------------------------------------------------
-# Exp shift: h = exp(f - 1), checked against direct series composition
-
-
-def _brute_exp_shift(f: Egf) -> Egf:
-    """exp(f - 1) via the partial sums sum_k (f-1)^k / k!, truncated."""
-    order = len(f.coeffs) - 1
-    g = tuple(c - 1 if i == 0 else c for i, c in enumerate(f.coeffs))
-    acc = [Fraction(0)] * (order + 1)
-    power = [Fraction(1)] + [Fraction(0)] * order  # g^0
-    for k in range(order + 1):
-        inv = Fraction(1, factorial(k))
-        for i in range(order + 1):
-            acc[i] += power[i] * inv
-        nxt = [Fraction(0)] * (order + 1)
-        for i in range(order + 1):
-            if power[i] == 0:
-                continue
-            for j in range(order + 1 - i):
-                nxt[i + j] += power[i] * g[j]
-        power = nxt
-    return Egf(tuple(acc))
+# Exp shift: the exponential formula, checked against series composition
 
 
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=8))
 def test_exp_shift_matches_series_composition(tail):
-    f = from_seq(IntSeq((1, *tail)))
-    assert egf_exp_shift(f) == _brute_exp_shift(f)
+    a = (1, *tail)
+    assert list(exp_shift(IntSeq(a))) == oracles.brute_exp_shift(a)
 
 
 def test_exp_shift_of_exp_prefix_is_bell():
-    f = _exp_egf(12)
-    assert list(to_seq(egf_exp_shift(f))) == [bell(n) for n in range(13)]
+    assert list(exp_shift(_ones(12))) == [bell(n) for n in range(13)]
 
 
 def test_exp_shift_of_pair_structure_counts_involutions():
     # Blocks of size <= 2 with full symmetry: l = (1, 1, 1).
-    f = from_seq(IntSeq((1, 1, 1, 0, 0, 0, 0, 0)))
-    assert list(to_seq(egf_exp_shift(f))) == list(oracles.INVOLUTIONS)
+    a = IntSeq((1, 1, 1, 0, 0, 0, 0, 0))
+    assert list(exp_shift(a)) == list(oracles.INVOLUTIONS)
 
 
 def test_exp_shift_requires_constant_term_one():
-    with pytest.raises(ValueError):
-        egf_exp_shift(Egf((Fraction(2), Fraction(1))))
-
-
-# ---------------------------------------------------------------------------
-# Wreath composition: f_h o (f_g - 1)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=7))
-def test_wreath_with_exp_outer_equals_exp_shift(tail):
-    f = from_seq(IntSeq((1, *tail)))
-    outer = _exp_egf(len(f.coeffs) - 1)
-    assert egf_wreath(f, outer) == egf_exp_shift(f)
-
-
-def test_wreath_requires_inner_constant_one():
-    with pytest.raises(ValueError):
-        egf_wreath(Egf((Fraction(0), Fraction(1))), _exp_egf(1))
+    for a0 in (0, 2):
+        with pytest.raises(ValueError):
+            exp_shift(IntSeq((a0, 1)))
 
 
 def test_wreath_nested_exp_gives_second_order_bell_sequence():
-    h = egf_exp_shift(egf_exp_shift(_exp_egf(10)))
-    assert list(to_seq(h)) == list(oracles.REFINEMENT_PAIRS[:11])
+    assert list(exp_shift(exp_shift(_ones(10)))) == list(oracles.REFINEMENT_PAIRS[:11])

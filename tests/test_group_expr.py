@@ -119,6 +119,19 @@ def test_involution_structure_lseq():
     assert list(got) == list(oracles.INVOLUTIONS)
 
 
+def test_bell_structure_deep_prefix():
+    got = eval_lseq(parse_expr("(wr (wr (finite 1)))"), 400)
+    for n in (100, 250, 400):
+        assert got[n] == oracles.bell_by_triangle(n), n
+
+
+def test_involution_structure_deep_prefix():
+    # leaf terms past degree 2 are zero, the case exp_shift skips
+    assert oracles.involutions_by_recurrence(7) == list(oracles.INVOLUTIONS)
+    got = eval_lseq(parse_expr("(wr (finite 2 full-sym))"), 300)
+    assert list(got) == oracles.involutions_by_recurrence(300)
+
+
 def test_pure_cells_lseq_is_constant_one():
     assert list(eval_lseq(parse_expr("(wr (finite 1))"), 9)) == [1] * 10
 
