@@ -139,6 +139,26 @@ def brute_exp_shift(a) -> list[Fraction]:
     return [c * factorial(n) for n, c in enumerate(acc)]
 
 
+def brute_wreath(inner, outer) -> list[Fraction]:
+    """The sequence whose EGF is f_h(f_g - 1), f_g the EGF of inner
+    (inner_0 = 1) and f_h that of outer, by Horner steps on truncated
+    series in exact rationals; both must have the same length.  Entry n
+    is the coefficient times n!."""
+    order = len(inner) - 1
+    assert len(outer) == order + 1 and inner[0] == 1
+    g = [Fraction(v, factorial(i)) for i, v in enumerate(inner)]
+    g[0] = Fraction(0)
+    acc = [Fraction(outer[order], factorial(order))] + [Fraction(0)] * order
+    for i in range(order - 1, -1, -1):
+        nxt = [Fraction(0)] * (order + 1)
+        for p, c in enumerate(acc):
+            for q in range(order + 1 - p):
+                nxt[p + q] += c * g[q]
+        nxt[0] += Fraction(outer[i], factorial(i))
+        acc = nxt
+    return [c * factorial(n) for n, c in enumerate(acc)]
+
+
 def group_closure(gens, degree: int) -> list[tuple[int, ...]]:
     """Every element of the permutation group the generators produce."""
     identity = tuple(range(degree))

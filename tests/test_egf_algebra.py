@@ -69,9 +69,25 @@ def test_exp_shift_of_pair_structure_counts_involutions():
 
 
 def test_exp_shift_requires_constant_term_one():
-    for a0 in (0, 2):
-        with pytest.raises(ValueError):
-            exp_shift(IntSeq((a0, 1)))
+    with pytest.raises(ValueError):
+        exp_shift(IntSeq((2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# Wreath layer: e wr S_omega composes the EGF of S_omega, exp(x), with
+# f_e - 1; exp_shift is that composition on the integer coefficients
+
+
+@given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=7))
+def test_wreath_with_exp_outer_equals_exp_shift(tail):
+    a = (1, *tail)
+    outer = (1,) * len(a)
+    assert list(exp_shift(IntSeq(a))) == oracles.brute_wreath(a, outer)
+
+
+def test_wreath_requires_inner_constant_one():
+    with pytest.raises(ValueError):
+        exp_shift(IntSeq((0, 1)))
 
 
 def test_wreath_nested_exp_gives_second_order_bell_sequence():
