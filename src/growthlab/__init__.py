@@ -59,7 +59,6 @@ from .witness_search import (
     SearchResult,
     find_coding_witness,
     find_order_witness,
-    find_tuple_coding_witness,
     parse_relation,
     verify_coding_witness,
     verify_order_witness,
@@ -97,7 +96,6 @@ __all__ = [
     "exp_shift",
     "find_coding_witness",
     "find_order_witness",
-    "find_tuple_coding_witness",
     "flip_recover",
     "flipped_paths",
     "format_expr",

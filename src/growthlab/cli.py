@@ -31,7 +31,7 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import CapacityError, ParseError
+from .errors import DEFAULT_NODE_BUDGET, CapacityError, ParseError, numbered_lines
 from .graph_classes import (
     FlipSpec,
     count_labelled,
@@ -49,7 +49,7 @@ from .group_expr import (
     gap_verdict,
     parse_expr,
 )
-from .orbit_oracle import count_orbits_injective, truncate_expr
+from .orbit_oracle import DEFAULT_TUPLE_BUDGET, count_orbits_injective, truncate_expr
 from .seq_core import bell, bell2, meet_trivial_pairs, stirling_transform
 from .witness_search import (
     STATUS_FOUND,
@@ -57,7 +57,6 @@ from .witness_search import (
     STATUS_NONE,
     find_coding_witness,
     find_order_witness,
-    find_tuple_coding_witness,
     parse_relation,
     verify_coding_witness,
     verify_order_witness,
@@ -242,10 +241,7 @@ def _cmd_bounds(args, rows, tel, config) -> int:
 
 def _parse_bfile(text: str) -> dict[int, int]:
     entries: dict[int, int] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in numbered_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"line {ln}: expected 'n a(n)', got {line!r}", ln)
@@ -385,17 +381,17 @@ def _cmd_witness(args, rows, tel, config) -> int:
     config["size"] = args.size
     if args.size < 1:
         raise ValueError("--size must be at least 1")
-    if args.kind == "order":
-        result = find_order_witness(rel, args.size, node_budget=args.budget_nodes)
-    elif args.kind == "coding":
-        result = find_coding_witness(rel, args.size, node_budget=args.budget_nodes)
-    else:
+    if args.kind == "tuplecoding":
         if args.k is None:
             raise ValueError("tuplecoding needs --k")
         config["k"] = args.k
-        result = find_tuple_coding_witness(
-            rel, args.size, args.k, node_budget=args.budget_nodes
-        )
+    elif args.k is not None:
+        raise ValueError(f"--k only applies to tuplecoding, not {args.kind}")
+    if args.kind == "order":
+        result = find_order_witness(rel, args.size, node_budget=args.budget_nodes)
+    else:
+        k = 1 if args.kind == "coding" else args.k
+        result = find_coding_witness(rel, args.size, k, node_budget=args.budget_nodes)
     tel["nodes"] += result.nodes
     rows.append({"name": "search", "verdict": result.status})
     if result.status == STATUS_INDETERMINATE:
@@ -427,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--deterministic", action="store_true")
-    common.add_argument("--budget-tuples", type=int, default=10**7, dest="budget_tuples")
-    common.add_argument("--budget-nodes", type=int, default=10**7, dest="budget_nodes")
+    common.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET, dest="budget_tuples")
+    common.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET, dest="budget_nodes")
 
     parser = argparse.ArgumentParser(
         prog="growthlab",

@@ -1,4 +1,9 @@
-"""Exceptions shared across growthlab modules."""
+"""Exceptions, the node-budget default and the line reader shared
+across growthlab modules."""
+
+#: backtracking nodes allowed to one search: a whole witness search, or
+#: one induced-embedding test in class counting
+DEFAULT_NODE_BUDGET = 10**7
 
 
 class CapacityError(RuntimeError):
@@ -20,3 +25,15 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message)
         self.position = position
+
+
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The stripped lines of a line-oriented file that are neither blank
+    nor '#' comments, each with its line number counted from 1, the
+    ``position`` a ParseError reports."""
+    out = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            out.append((ln, line))
+    return out

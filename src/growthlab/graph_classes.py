@@ -18,12 +18,11 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Iterator
 
-from .errors import CapacityError, ParseError
+from .errors import DEFAULT_NODE_BUDGET, CapacityError, ParseError, numbered_lines
 
 MODE_GENERATORS = "generators"
 MODE_FORBIDDEN = "forbidden"
 
-DEFAULT_NODE_BUDGET = 10**7
 #: labelled counting enumerates all graphs on [n]; 2^C(8,2) is too many
 MAX_COUNT_N = 7
 
@@ -270,44 +269,41 @@ def _mask_adj(n: int, mask: int) -> list[int]:
     return adj
 
 
+def _member(
+    graphs: list[list[int]], adj: list[int], generator_mode: bool, budget: int
+) -> tuple[bool, int]:
+    """Membership of the graph ``adj`` by induced embeddings: into some
+    generator, or of no forbidden graph (one larger than ``adj`` fails
+    at once, with no nodes).  Returns the verdict and the embedding
+    nodes spent."""
+    nodes_total = 0
+    for other in graphs:
+        if generator_mode:
+            found, nodes = _embeds_python(adj, other, budget)
+        else:
+            found, nodes = _embeds_python(other, adj, budget)
+        nodes_total += nodes
+        if found:
+            return generator_mode, nodes_total
+    return not generator_mode, nodes_total
+
+
 def _count_masks_python(
     n: int, graphs: list[list[int]], generator_mode: bool, budget: int
 ) -> tuple[int, int]:
     count = 0
     nodes_total = 0
     for mask in range(1 << comb(n, 2)):
-        adj = _mask_adj(n, mask)
-        member = not generator_mode
-        for other in graphs:
-            if generator_mode:
-                found, nodes = _embeds_python(adj, other, budget)
-                nodes_total += nodes
-                if found:
-                    member = True
-                    break
-            else:
-                if len(other) > n:
-                    continue
-                found, nodes = _embeds_python(other, adj, budget)
-                nodes_total += nodes
-                if found:
-                    member = False
-                    break
-        if member:
-            count += 1
+        member, nodes = _member(graphs, _mask_adj(n, mask), generator_mode, budget)
+        count += member
+        nodes_total += nodes
     return count, nodes_total
 
 
 def graph_in_class(spec: ClassSpec, g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Membership of one graph in the class, by induced embeddings."""
-    adj = list(g.adj)
-    if spec.mode == MODE_GENERATORS:
-        return any(_embeds_python(adj, list(h.adj), node_budget)[0] for h in spec.graphs)
-    return not any(
-        _embeds_python(list(h.adj), adj, node_budget)[0]
-        for h in spec.graphs
-        if h.v <= g.v
-    )
+    graphs = [list(h.adj) for h in spec.graphs]
+    return _member(graphs, list(g.adj), spec.mode == MODE_GENERATORS, node_budget)[0]
 
 
 def count_labelled(
@@ -512,28 +508,18 @@ def _parse_graph_lines(lines: list[tuple[int, str]]) -> Graph:
         raise ParseError(str(exc)) from None
 
 
-def _numbered_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((ln, line))
-    return out
-
-
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: 'v=<n>', then 'u w' edge lines and
     optional 'color u c' lines.  '#' comments and blank lines are
     skipped."""
-    return _parse_graph_lines(_numbered_lines(text))
+    return _parse_graph_lines(numbered_lines(text))
 
 
 def parse_class_spec(text: str, mode: str) -> ClassSpec:
     """Parse a class file: graph blocks in the edge-list format
     separated by lines of '---'."""
     blocks: list[list[tuple[int, str]]] = [[]]
-    for ln, line in _numbered_lines(text):
+    for ln, line in numbered_lines(text):
         if set(line) == {"-"} and len(line) >= 3:
             blocks.append([])
             continue

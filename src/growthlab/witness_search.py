@@ -9,8 +9,11 @@ points z_ij such that, restricted to Z = {z_ij}, the fiber over
 
 Searches are exact backtracking with a node budget; results are
 three-valued so an exhausted budget is reported as indeterminate
-rather than as absence.  The verifiers test raw tuple membership and
-share no machinery with the searchers.
+rather than as absence.  One coding search serves every side width k
+(k = 1 for ternary relations): it holds sides as indices into the
+sorted distinct k-tuple projections, and fibers and private sets as
+bitsets over the universe.  The verifiers test raw tuple membership
+and share no machinery with the searchers.
 """
 
 from __future__ import annotations
@@ -18,13 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import ParseError
+from .errors import DEFAULT_NODE_BUDGET, ParseError, numbered_lines
 
 STATUS_FOUND = "found"
 STATUS_NONE = "none"
 STATUS_INDETERMINATE = "indeterminate"
-
-DEFAULT_NODE_BUDGET = 10**7
 
 
 class _BudgetHit(Exception):
@@ -244,36 +245,43 @@ def find_order_witness(
 
 
 # ---------------------------------------------------------------------------
-# coding witness search, point version (k = 1)
+# coding witness search
 # ---------------------------------------------------------------------------
 
 
 def find_coding_witness(
-    rel: FinRelation, m: int, *, node_budget: int = DEFAULT_NODE_BUDGET
+    rel: FinRelation, m: int, k: int = 1, *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> SearchResult:
-    """Backtracking search for a size-m coding witness in a ternary
-    relation.
+    """Backtracking search for a size-m coding witness whose sides are
+    k-tuples, in a (2k+1)-ary relation (ternary for the default k = 1).
 
     A witness needs, for every cell (i, j), a point z in the fiber over
     (x_i, y_j) lying in no other cell's fiber; such private points are
     automatically pairwise distinct, and a witness exists iff every
     cell keeps a non-empty private set, which only shrinks as cells are
-    added.  The search interleaves x_0, y_0, x_1, y_1, ... with both
-    sides increasing (reordering a witness permutes table rows and
-    columns, so this loses nothing) and prunes on an empty private set.
-    Fibers and private sets are bitsets over the universe.
+    added.  Sides are indices into the sorted pools of distinct k-tuple
+    projections.  The search interleaves x_0, y_0, x_1, y_1, ... with
+    both sides strictly increasing (reordering a witness permutes table
+    rows and columns, so this loses nothing) and prunes on an empty
+    private set.  Fibers, keyed by pairs of pool indices, and private
+    sets are bitsets over the universe.
     """
-    if rel.arity != 3:
-        raise ValueError(f"coding witnesses need a ternary relation, got arity {rel.arity}")
+    if k < 1:
+        raise ValueError("side width must be at least 1")
+    if rel.arity != 2 * k + 1:
+        raise ValueError(f"width-{k} coding witnesses need arity {2 * k + 1}, got {rel.arity}")
     if m < 1:
         raise ValueError("witness size must be at least 1")
-    fiber: dict[tuple[int, int], int] = {}
-    for x, y, z in rel.tuples:
-        fiber[x, y] = fiber.get((x, y), 0) | 1 << z
-    xs_pool = sorted({x for x, _, _ in rel.tuples})
-    ys_pool = sorted({y for _, y, _ in rel.tuples})
+    xs_pool = sorted({t[:k] for t in rel.tuples})
+    ys_pool = sorted({t[k : 2 * k] for t in rel.tuples})
     if len(xs_pool) < m or len(ys_pool) < m:
         return SearchResult(STATUS_NONE, None, 0)
+    x_index = {x: i for i, x in enumerate(xs_pool)}
+    y_index = {y: i for i, y in enumerate(ys_pool)}
+    fiber: dict[tuple[int, int], int] = {}
+    for t in rel.tuples:
+        key = x_index[t[:k]], y_index[t[k : 2 * k]]
+        fiber[key] = fiber.get(key, 0) | 1 << t[2 * k]
     x_img = [0] * m
     y_img = [0] * m
     nodes = 0
@@ -284,12 +292,9 @@ def find_coding_witness(
             return privates
         on_x = pos % 2 == 0
         idx = pos // 2
-        pool = xs_pool if on_x else ys_pool
         img = x_img if on_x else y_img
-        floor = img[idx - 1] if idx > 0 else -1
-        for v in pool:
-            if v <= floor:
-                continue
+        first = img[idx - 1] + 1 if idx > 0 else 0
+        for v in range(first, len(xs_pool if on_x else ys_pool)):
             nodes += 1
             if nodes > node_budget:
                 raise _BudgetHit
@@ -335,113 +340,8 @@ def find_coding_witness(
         low = mask & -mask
         table[i][j] = low.bit_length() - 1
     w = CodingWitness(
-        tuple((x,) for x in x_img),
-        tuple((y,) for y in y_img),
-        tuple(sorted(v for r in table for v in r)),
-        tuple(tuple(r) for r in table),
-    )
-    assert verify_coding_witness(rel, w)
-    return SearchResult(STATUS_FOUND, w, nodes)
-
-
-# ---------------------------------------------------------------------------
-# coding witness search, tuple version (any k)
-# ---------------------------------------------------------------------------
-
-
-def find_tuple_coding_witness(
-    rel: FinRelation, m: int, k: int, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> SearchResult:
-    """Backtracking search for a size-m coding witness whose sides are
-    k-tuples, in a (2k+1)-ary relation.
-
-    Same privacy argument as the point search: every cell needs a z in
-    its fiber and outside all other fibers, so sides are extended in
-    the interleaved increasing order and a cell whose private set
-    empties prunes the branch.  Sides range over the distinct k-tuple
-    projections of the relation; fibers and privates are kept as plain
-    sets keyed by tuple pairs.
-    """
-    if k < 1:
-        raise ValueError("side width must be at least 1")
-    if rel.arity != 2 * k + 1:
-        raise ValueError(
-            f"width-{k} coding witnesses need arity {2 * k + 1}, got {rel.arity}"
-        )
-    if m < 1:
-        raise ValueError("witness size must be at least 1")
-    fiber: dict[tuple[tuple[int, ...], tuple[int, ...]], set[int]] = {}
-    for t in rel.tuples:
-        key = (t[:k], t[k : 2 * k])
-        fiber.setdefault(key, set()).add(t[2 * k])
-    xs_pool = sorted({t[:k] for t in rel.tuples})
-    ys_pool = sorted({t[k : 2 * k] for t in rel.tuples})
-    if len(xs_pool) < m or len(ys_pool) < m:
-        return SearchResult(STATUS_NONE, None, 0)
-    empty: set[int] = set()
-    x_img: list[tuple[int, ...]] = [()] * m
-    y_img: list[tuple[int, ...]] = [()] * m
-    nodes = 0
-
-    def rec(pos, privates, covered):
-        nonlocal nodes
-        if pos == 2 * m:
-            return privates
-        on_x = pos % 2 == 0
-        idx = pos // 2
-        pool = xs_pool if on_x else ys_pool
-        img = x_img if on_x else y_img
-        floor = img[idx - 1] if idx > 0 else None
-        for v in pool:
-            if floor is not None and v <= floor:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise _BudgetHit
-            img[idx] = v
-            cells = (
-                [(idx, j) for j in range(idx)]
-                if on_x
-                else [(i, idx) for i in range(idx + 1)]
-            )
-            nxt = {c: s for c, s in privates.items()}
-            cov = set(covered)
-            ok = True
-            for cell in cells:
-                fib = fiber.get((x_img[cell[0]], y_img[cell[1]]), empty)
-                priv = fib - cov
-                if not priv:
-                    ok = False
-                    break
-                for other in list(nxt):
-                    trimmed = nxt[other] - fib
-                    if not trimmed:
-                        ok = False
-                        break
-                    nxt[other] = trimmed
-                if not ok:
-                    break
-                nxt[cell] = priv
-                cov |= fib
-            if not ok:
-                continue
-            res = rec(pos + 1, nxt, cov)
-            if res is not None:
-                return res
-        return None
-
-    try:
-        privates = rec(0, {}, set())
-    except _BudgetHit:
-        return SearchResult(STATUS_INDETERMINATE, None, nodes)
-    if privates is None:
-        return SearchResult(STATUS_NONE, None, nodes)
-    table = [[0] * m for _ in range(m)]
-    for (i, j), zs in privates.items():
-        table[i][j] = min(zs)
-    w = CodingWitness(
-        tuple(x_img),
-        tuple(y_img),
+        tuple(xs_pool[i] for i in x_img),
+        tuple(ys_pool[j] for j in y_img),
         tuple(sorted(v for r in table for v in r)),
         tuple(tuple(r) for r in table),
     )
@@ -458,12 +358,7 @@ def parse_relation(text: str) -> FinRelation:
     """Parse a relation file: a header line 'a=<size> r=<arity>', then
     one tuple of integers per line.  '#' comments and blank lines are
     skipped."""
-    lines = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append((ln, line))
+    lines = numbered_lines(text)
     if not lines:
         raise ParseError("empty relation file")
     ln, header = lines[0]

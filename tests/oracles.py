@@ -250,18 +250,20 @@ def brute_order_witness_exists(universe: int, tuples, n: int) -> bool:
     return False
 
 
-def brute_coding_witness_exists(universe: int, tuples, m: int) -> bool:
+def brute_coding_witness_exists(universe: int, tuples, m: int, k: int = 1) -> bool:
     """Try every side pair and every table assignment, checking the
     witness definition literally: restricted to the table's point set,
-    the fiber over (x_i, y_j) must be exactly the table entry."""
+    the fiber over (x_i, y_j) must be exactly the table entry.  Sides
+    are the k-tuples t[:k] and t[k:2k] of the (2k+1)-tuples t, and the
+    point is t[2k]."""
     tupleset = set(tuples)
-    xs = sorted({t[0] for t in tuples})
-    ys = sorted({t[1] for t in tuples})
+    xs = sorted({t[:k] for t in tuples})
+    ys = sorted({t[k : 2 * k] for t in tuples})
     cells = [(i, j) for i in range(m) for j in range(m)]
     for xc in permutations(xs, m):
         for yc in permutations(ys, m):
             fibs = [
-                [z for z in range(universe) if (xc[i], yc[j], z) in tupleset]
+                [z for z in range(universe) if xc[i] + yc[j] + (z,) in tupleset]
                 for i, j in cells
             ]
             for flat in product(*fibs):
@@ -269,7 +271,7 @@ def brute_coding_witness_exists(universe: int, tuples, m: int) -> bool:
                 if len(zset) != m * m:
                     continue
                 if all(
-                    ((xc[i], yc[j], z) in tupleset) == (z == flat[idx])
+                    (xc[i] + yc[j] + (z,) in tupleset) == (z == flat[idx])
                     for idx, (i, j) in enumerate(cells)
                     for z in zset
                 ):

@@ -292,6 +292,14 @@ def test_witness_tuplecoding_requires_k():
     assert proc.returncode == 2
 
 
+def test_witness_k_rejected_outside_tuplecoding():
+    for kind, rel in (("coding", PAIR9), ("order", LESS10)):
+        proc = run_cli("witness", kind, rel, "--size", "2", "--k", "3")
+        assert proc.returncode == 2
+        assert "--k" in proc.stderr
+        assert not proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # formats and determinism
 

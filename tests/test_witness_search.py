@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import CodingWitness, FinRelation, OrderWitness, ParseError, SearchResult
-from growthlab import find_coding_witness, find_order_witness, find_tuple_coding_witness
+from growthlab import find_coding_witness, find_order_witness
 from growthlab import parse_relation, verify_coding_witness, verify_order_witness
 from growthlab.witness_search import STATUS_FOUND, STATUS_INDETERMINATE, STATUS_NONE
 
@@ -44,6 +44,26 @@ def ternary_relations(draw, max_u=4):
     triples = [(i, j, k) for i in range(u) for j in range(u) for k in range(u)]
     tuples = draw(st.sets(st.sampled_from(triples), max_size=12))
     return FinRelation(u, 3, frozenset(tuples))
+
+
+@st.composite
+def coding_relations(draw):
+    """A (2k+1)-ary relation for k in {1, 2} with at most 12 tuples,
+    whose sides come from two small pools of k-tuples so that fibers
+    share sides often.  Half of them hold a planted 2 x 2 grid on a
+    universe of 4, the fewest points such a grid needs."""
+    k = draw(st.sampled_from((1, 2)))
+    planted = draw(st.booleans())
+    u = 4 if planted else draw(st.integers(min_value=2, max_value=4))
+    side = st.tuples(*[st.integers(min_value=0, max_value=u - 1)] * k)
+    pool = st.lists(side, min_size=1 + planted, max_size=3, unique=True)
+    xs, ys = draw(pool), draw(pool)
+    cells = [x + y + (z,) for x in xs for y in ys for z in range(u)]
+    tuples = draw(st.sets(st.sampled_from(cells), max_size=8))
+    if planted:
+        zs = draw(st.permutations(range(4)))
+        tuples |= {xs[i] + ys[j] + (zs[2 * i + j],) for i in (0, 1) for j in (0, 1)}
+    return FinRelation(u, 2 * k + 1, frozenset(tuples)), k
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +228,16 @@ def test_verifier_rejects_swapped_table():
 # Tuple coding
 
 
-@given(ternary_relations(max_u=3), st.integers(min_value=1, max_value=2))
-@settings(deadline=None, max_examples=40)
-def test_tuple_coding_k1_agrees_with_point_coding(rel, m):
-    a = find_coding_witness(rel, m)
-    b = find_tuple_coding_witness(rel, m, 1)
-    assert a.status == b.status
-    if b.status == STATUS_FOUND:
-        assert verify_coding_witness(rel, b.witness)
+@given(coding_relations(), st.integers(min_value=1, max_value=2))
+@settings(deadline=None, max_examples=80)
+def test_coding_search_matches_brute_existence_any_width(rel_k, m):
+    rel, k = rel_k
+    r = find_coding_witness(rel, m, k)
+    want = oracles.brute_coding_witness_exists(rel.universe, rel.tuples, m, k)
+    assert (r.status == STATUS_FOUND) == want
+    if r.status == STATUS_FOUND:
+        assert r.witness.width == k
+        assert verify_coding_witness(rel, r.witness)
 
 
 def test_tuple_coding_pairs_example():
@@ -227,19 +249,19 @@ def test_tuple_coding_pairs_example():
         for j, y in enumerate(ys):
             tuples.add(x + y + (2 * i + j,))
     rel = FinRelation(4, 5, frozenset(tuples))
-    r = find_tuple_coding_witness(rel, 2, 2)
+    r = find_coding_witness(rel, 2, 2)
     assert r.status == STATUS_FOUND
     assert r.witness.width == 2
 
 
 def test_tuple_coding_rejects_incompatible_arity():
     with pytest.raises(ValueError):
-        find_tuple_coding_witness(pairing_rel(2), 1, 2)  # arity 3 != 2k+1 for k=2
+        find_coding_witness(pairing_rel(2), 1, 2)  # arity 3 != 2k+1 for k=2
 
 
 def test_tuple_coding_none_on_empty():
     rel = FinRelation(3, 5, frozenset())
-    assert find_tuple_coding_witness(rel, 1, 2).status == STATUS_NONE
+    assert find_coding_witness(rel, 1, 2).status == STATUS_NONE
 
 
 # ---------------------------------------------------------------------------
