@@ -27,7 +27,6 @@ from .group_expr import (
     WreathSomega,
     classify,
     eval_lseq,
-    eval_sseq,
     format_expr,
     gap_verdict,
     parse_expr,
@@ -49,7 +48,6 @@ from .seq_core import (
     check_bounds,
     exp_shift,
     meet_trivial_pairs,
-    stirling2,
     stirling_transform,
 )
 from .witness_search import (
@@ -92,7 +90,6 @@ __all__ = [
     "count_orbits_all",
     "count_orbits_injective",
     "eval_lseq",
-    "eval_sseq",
     "exp_shift",
     "find_coding_witness",
     "find_order_witness",
@@ -110,7 +107,6 @@ __all__ = [
     "parse_relation",
     "semi_induced_order",
     "stabilizer_bound_check",
-    "stirling2",
     "stirling_transform",
     "truncate_expr",
     "verify_coding_witness",

@@ -268,9 +268,8 @@ def _cmd_oeis(args, rows, tel, config) -> int:
         if args.use_s:
             raise ValueError("--use-s only applies to --expr")
         config["seq"] = args.named_seq
-        value_at = {"bell": bell, "bell2": bell2, "meet-trivial-pairs": meet_trivial_pairs}[
-            args.named_seq
-        ]
+        named = {"bell": bell, "bell2": bell2, "meet-trivial-pairs": meet_trivial_pairs}
+        seq = named[args.named_seq](args.max_n)
     else:
         expr = parse_expr(Path(args.expr_file).read_text())
         config["expr"] = format_expr(expr)
@@ -278,7 +277,6 @@ def _cmd_oeis(args, rows, tel, config) -> int:
         seq = eval_lseq(expr, args.max_n)
         if args.use_s:
             seq = stirling_transform(seq)
-        value_at = seq.__getitem__
 
     compared = 0
     code = EXIT_OK
@@ -286,7 +284,7 @@ def _cmd_oeis(args, rows, tel, config) -> int:
         target = i + offset
         if target not in entries:
             continue
-        ours = value_at(i)
+        ours = seq[i]
         compared += 1
         theirs = entries[target]
         ok = ours == theirs

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Sequence, Union
 
 from .errors import ParseError
@@ -40,7 +40,6 @@ from .seq_core import (
     binomial_convolution,
     check_bounds,
     exp_shift,
-    stirling_transform,
 )
 
 CLASS_FINITE = "finite"
@@ -99,7 +98,6 @@ def _wreath_bases(expr: GroupExpr) -> list[GroupExpr]:
     return [expr.base] + _wreath_bases(expr.base)
 
 
-@lru_cache(maxsize=None)
 def classify(expr: GroupExpr) -> str:
     """finite, cellular or msnc.
 
@@ -319,11 +317,6 @@ def eval_lseq(expr: GroupExpr, n_max: int) -> IntSeq:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     return IntSeq(_expr_seq(expr, n_max).values, format_expr(expr))
-
-
-def eval_sseq(expr: GroupExpr, n_max: int) -> IntSeq:
-    """All-tuples growth sequence, the Stirling transform of eval_lseq."""
-    return stirling_transform(eval_lseq(expr, n_max))
 
 
 def gap_verdict(

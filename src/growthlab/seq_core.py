@@ -1,37 +1,33 @@
 """Exact integer sequence kernel.
 
-Stirling numbers of the second kind, Bell and second-order Bell numbers,
-the Stirling transform linking the two growth sequences of a structure,
-the binomial convolution and exponential formula that give the growth
-sequences of products and wreath layers, and growth-bound comparators.
-Everything here is exact big-integer or rational arithmetic; no verdict
-ever depends on floating point.
+Bell and second-order Bell numbers, partition pairs with a trivial
+meet, the Stirling transform linking the two growth sequences of a
+structure, the binomial convolution and exponential formula that give
+the growth sequences of products and wreath layers, and growth-bound
+comparators.  Everything here is exact big-integer or rational
+arithmetic; no verdict ever depends on floating point.
 
 Sequences are 0-indexed with value 1 at index 0 for any growth sequence
-of a non-empty structure (one empty-tuple orbit).
+of a non-empty structure (one empty-tuple orbit).  A named sequence is
+a function of a prefix length: ``bell(n_max)`` returns the IntSeq
+B_0..B_{n_max}.  Triangles (Bell, Stirling of either kind) are built
+row by row from the one above, and only the current row is kept; the
+module holds no state between calls.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence, Union
-
-from .errors import CapacityError
 
 Rational = Union[int, Fraction]
 
 KIND_CELLULAR = "cellular-bound"
 KIND_BELL_LOWER = "bell-lower"
 KIND_FACTORIAL_UPPER = "factorial-upper"
-
-#: meet_trivial_pairs enumerates partition pairs by backtracking; beyond
-#: this index the count is in the billions and the loop would take hours.
-MEET_TRIVIAL_MAX_N = 10
 
 
 @dataclass(frozen=True)
@@ -40,10 +36,6 @@ class IntSeq:
 
     ``values[n]`` is a_n; indexing is always from 0.  Instances are
     immutable.
-
-    Monotonicity from index 1 holds for growth sequences of infinite
-    structures but not for arbitrary sequences, so it is offered as the
-    opt-in check :meth:`nondecreasing_from` rather than enforced here.
     """
 
     values: tuple[int, ...]
@@ -72,11 +64,6 @@ class IntSeq:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.values)
-
-    def nondecreasing_from(self, start: int = 1) -> bool:
-        """True if a_n <= a_{n+1} for all n >= start in the prefix."""
-        vals = self.values
-        return all(vals[n] <= vals[n + 1] for n in range(start, len(vals) - 1))
 
 
 @dataclass(frozen=True)
@@ -109,71 +96,49 @@ class BoundReport:
                 raise ValueError("failing index must lie in verified_range")
 
 
-#: rows 0..len-1 of the S(n, k) table, k = 0..n, grown on demand
-_STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
+def bell(n_max: int) -> IntSeq:
+    """Bell numbers B_0..B_{n_max}: set partitions of [n] (A000110).
 
-
-def _stirling_row(n: int) -> tuple[int, ...]:
-    # builds the missing rows upward from the highest cached one, so the
-    # depth of the Python stack does not depend on n
-    rows = _STIRLING_ROWS
-    while len(rows) <= n:
-        m = len(rows)
-        prev = rows[-1]
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            above = prev[k] if k < m else 0
-            row[k] = k * above + prev[k - 1]
-        rows.append(tuple(row))
-    return rows[n]
-
-
-def stirling2(n: int, k: int) -> int:
-    """Number of partitions of an n-set into exactly k non-empty blocks.
-
-    S(0, 0) = 1 and S(n, k) = 0 for k > n or (k = 0, n > 0).  k > n is
-    permitted and returns 0.
+    From the Bell triangle: row n opens with the last entry of row n - 1,
+    and each further entry adds the entry above it to its left
+    neighbour.  Row n opens with B_n.
     """
-    if n < 0 or k < 0:
-        raise ValueError("stirling2 needs n >= 0 and k >= 0")
-    if k > n:
-        return 0
-    return _stirling_row(n)[k]
+    if n_max < 0:
+        raise ValueError("bell needs n_max >= 0")
+    row = [1]
+    vals = [1]
+    for _ in range(n_max):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+        vals.append(row[0])
+    return IntSeq(tuple(vals))
 
 
-@lru_cache(maxsize=None)
-def bell(n: int) -> int:
-    """Bell number B_n, the number of set partitions of [n] (A000110)."""
-    if n < 0:
-        raise ValueError("bell needs n >= 0")
-    return sum(_stirling_row(n))
-
-
-def bell2(n: int) -> int:
-    """Second-order Bell number (A000258).
+def bell2(n_max: int) -> IntSeq:
+    """Second-order Bell numbers B^(2)_0..B^(2)_{n_max} (A000258).
 
     Counts ordered pairs (P, Q) of set partitions of [n] where P refines
-    Q; equals sum over k of S(n, k) * B_k.  B^(2)_0 = 1.
+    Q: the Stirling transform of the Bell numbers, sum_k S(n, k) * B_k.
     """
-    if n < 0:
-        raise ValueError("bell2 needs n >= 0")
-    if n == 0:
-        return 1
-    row = _stirling_row(n)
-    return sum(row[k] * bell(k) for k in range(1, n + 1))
+    return stirling_transform(bell(n_max))
 
 
 def stirling_transform(l: IntSeq) -> IntSeq:
-    """The sequence s with s_0 = l_0 and s_n = sum_k S(n, k) * l_k.
+    """The sequence s with s_n = sum_k S(n, k) * l_k.
 
     Applied to the injective-tuple growth sequence of a structure this
     yields its all-tuples growth sequence: every n-tuple factors through
-    the partition of positions by coordinate equality.
+    the partition of positions by coordinate equality.  Row n of the
+    Stirling numbers of the second kind comes from row n - 1 by
+    S(n, k) = k * S(n-1, k) + S(n-1, k-1).
     """
+    row = [1]
     vals = [l[0]]
     for n in range(1, len(l)):
-        row = _stirling_row(n)
-        vals.append(sum(row[k] * l[k] for k in range(1, n + 1)))
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, n)] + [1]
+        vals.append(sum(map(operator.mul, row, l.values)))
     label = f"stirling_transform({l.label})" if l.label else ""
     return IntSeq(tuple(vals), label)
 
@@ -253,8 +218,9 @@ def _check_cellular(seq: IntSeq, grid: Sequence[tuple[Rational, Rational]]) -> B
 
 def _check_bell_lower(seq: IntSeq) -> BoundReport:
     top = seq.last_index
+    b = bell(top)
     for n in range(1, top + 1):
-        if seq[n] < bell(n):
+        if seq[n] < b[n]:
             return BoundReport(KIND_BELL_LOWER, False, (1, top), first_fail=n)
     return BoundReport(KIND_BELL_LOWER, True, (1, top))
 
@@ -313,75 +279,26 @@ def check_bounds(
     raise ValueError(f"unknown bound kind {kind!r}")
 
 
-def _partition_shapes(n: int) -> Iterator[tuple[int, ...]]:
-    # integer partitions of n, parts non-increasing
-    def rec(left: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            yield ()
-            return
-        for first in range(min(left, mx), 0, -1):
-            for rest in rec(left - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, n)
-
-
-def _count_conflict_free(classes: Sequence[int]) -> int:
-    # set partitions of the elements 0..len(classes)-1 where no block
-    # holds two elements of the same class; blocks tracked as class
-    # bitmasks, elements placed in index order
-    total = 0
-    blocks: list[int] = []
-
-    def rec(i: int) -> None:
-        nonlocal total
-        if i == len(classes):
-            total += 1
-            return
-        bit = 1 << classes[i]
-        for j, mask in enumerate(blocks):
-            if not mask & bit:
-                blocks[j] = mask | bit
-                rec(i + 1)
-                blocks[j] = mask
-        blocks.append(bit)
-        rec(i + 1)
-        blocks.pop()
-
-    rec(0)
-    return total
-
-
-def meet_trivial_pairs(n: int) -> int:
-    """Pairs (P, Q) of set partitions of [n] with all-singletons meet.
+def meet_trivial_pairs(n_max: int) -> IntSeq:
+    """Pairs (P, Q) of set partitions of [n] with all-singletons meet,
+    for n = 0..n_max (A059849).
 
     Counts ordered pairs such that no two elements share a block in both
-    P and Q, i.e. the lattice meet of P and Q is the discrete partition
-    (A059849).  This equals the injective-tuple growth sequence of the
-    grid of two crossing equivalence relations with infinitely many
-    infinite classes.
+    P and Q, i.e. the lattice meet of P and Q is the discrete partition.
+    This equals the injective-tuple growth sequence of the grid of two
+    crossing equivalence relations with infinitely many infinite classes.
 
-    Pairs are grouped by the block-size shape of P: the number of valid
-    Q depends only on that shape, so the total is a sum over integer
-    partitions of n of (set partitions with that shape) times
-    (partitions of a class-coloured set avoiding same-class pairs).
+    Every pair has one meet R, and the pairs whose meet lies above R
+    number B_k^2 when R has k blocks.  Mobius inversion on the partition
+    lattice gives a_n = sum_k s(n, k) * B_k^2, with s the signed Stirling
+    numbers of the first kind, s(n, k) = s(n-1, k-1) - (n-1) * s(n-1, k).
     """
-    if n < 0:
-        raise ValueError("meet_trivial_pairs needs n >= 0")
-    if n > MEET_TRIVIAL_MAX_N:
-        raise CapacityError(
-            f"meet_trivial_pairs is capped at n = {MEET_TRIVIAL_MAX_N}; got n = {n}"
-        )
-    if n == 0:
-        return 1
-    total = 0
-    for shape in _partition_shapes(n):
-        # set partitions of [n] with these block sizes
-        count = math.factorial(n)
-        for part in shape:
-            count //= math.factorial(part)
-        for repeats in Counter(shape).values():
-            count //= math.factorial(repeats)
-        classes = [ci for ci, part in enumerate(shape) for _ in range(part)]
-        total += count * _count_conflict_free(classes)
-    return total
+    if n_max < 0:
+        raise ValueError("meet_trivial_pairs needs n_max >= 0")
+    squares = [b * b for b in bell(n_max)]
+    row = [1]
+    vals = [1]
+    for n in range(1, n_max + 1):
+        row = [0] + [row[k - 1] - (n - 1) * row[k] for k in range(1, n)] + [1]
+        vals.append(sum(map(operator.mul, row, squares)))
+    return IntSeq(tuple(vals))

@@ -100,6 +100,23 @@ def brute_meet_trivial(n: int) -> int:
     return count
 
 
+def meet_trivial_by_meets(n_max: int) -> list[int]:
+    """A059849 a_0..a_{n_max} without Stirling numbers of the first kind.
+
+    Every pair of partitions of [n] has exactly one meet R.  The pairs
+    whose meet is R are the pairs above R whose images on R's k blocks
+    have the discrete meet, so B_n^2 = sum_k S(n, k) * a_k.  S(n, n) = 1,
+    so the system is solved from the bottom up, one S row at a time."""
+    a: list[int] = []
+    row = [1]  # S(n, k), k = 0..n
+    for n in range(n_max + 1):
+        if n:
+            above = row + [0]
+            row = [0] + [above[k - 1] + k * above[k] for k in range(1, n + 1)]
+        a.append(bell_by_triangle(n) ** 2 - sum(row[k] * a[k] for k in range(n)))
+    return a
+
+
 def brute_involutions(n: int) -> int:
     return sum(
         all(p[p[i]] == i for i in range(n)) for p in permutations(range(n))

@@ -50,7 +50,7 @@ def test_seq_emits_bell_prefix():
     assert code == 0
     assert env["command"] == "seq"
     got = {int(r["n"]): int(r["value"]) for r in rows_by_name(env, "l")}
-    assert got == {n: bell(n) for n in range(11)}
+    assert got == dict(enumerate(bell(10)))
     assert_all_numbers_are_strings(env)
 
 
@@ -96,6 +96,8 @@ def test_seq_capacity_exit(tmp_path):
     assert proc.returncode == 3
     env = json.loads(proc.stdout)
     assert "capacity" in env["telemetry"]
+    # the rows computed before the budget ran out are still emitted
+    assert len(rows_by_name(env, "l")) == len(rows_by_name(env, "s")) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +180,17 @@ def test_oeis_disjoint_ranges_are_input_error():
     assert proc.returncode == 2
 
 
-def test_oeis_capacity_keeps_partial_rows(tmp_path):
-    lines = [f"{n} {v}" for n, v in enumerate([1, 1, 3, 15, 113, 1153, 15125, 245829, 4815403])]
-    lines += ["11 1", "12 1"]
-    deep = tmp_path / "deep.txt"
-    deep.write_text("\n".join(lines) + "\n")
-    proc = run_cli("oeis", "--seq", "meet-trivial-pairs", "--bfile", str(deep), "--max-n", "12")
-    assert proc.returncode == 3
-    env = json.loads(proc.stdout)
-    assert len(rows_by_name(env, "term")) == 9  # 0..8 compared before the cap
+def test_oeis_deep_meet_trivial_pairs(tmp_path):
+    bfile = tmp_path / "b059849_300.txt"
+    values = oracles.meet_trivial_by_meets(300)
+    bfile.write_text("".join(f"{n} {v}\n" for n, v in enumerate(values)))
+    code, env = cli_json(
+        "oeis", "--seq", "meet-trivial-pairs", "--bfile", str(bfile), "--max-n", "300"
+    )
+    assert code == 0
+    terms = rows_by_name(env, "term")
+    assert len(terms) == 301
+    assert all(r["verdict"] == "match" for r in terms)
 
 
 def test_oeis_deep_bell_term_in_a_fresh_process(tmp_path):
@@ -311,7 +315,7 @@ def test_csv_output_shape():
     rows = list(reader)
     assert rows[0] == ["name", "n", "value", "verdict", "detail"]
     l_rows = [r for r in rows if r[0] == "l"]
-    assert [int(r[2]) for r in l_rows] == [bell(n) for n in range(5)]
+    assert [int(r[2]) for r in l_rows] == list(bell(4))
 
 
 @pytest.mark.parametrize(

@@ -59,7 +59,7 @@ def test_exp_shift_matches_series_composition(tail):
 
 
 def test_exp_shift_of_exp_prefix_is_bell():
-    assert list(exp_shift(_ones(12))) == [bell(n) for n in range(13)]
+    assert list(exp_shift(_ones(12))) == list(bell(12))
 
 
 def test_exp_shift_of_pair_structure_counts_involutions():

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from growthlab import DirectProduct, FinPermGroup, Finite, ParseError, WreathSomega
-from growthlab import bell, classify, count_orbits_injective, eval_lseq, eval_sseq
+from growthlab import bell, classify, count_orbits_injective, eval_lseq
 from growthlab import format_expr, gap_verdict, parse_expr, stirling_transform, truncate_expr
 
 import oracles
@@ -111,7 +111,7 @@ def test_classify_msnc():
 
 def test_bell_structure_lseq():
     got = eval_lseq(parse_expr("(wr (wr (finite 1)))"), 12)
-    assert list(got) == [bell(n) for n in range(13)]
+    assert list(got) == list(bell(12))
 
 
 def test_involution_structure_lseq():
@@ -150,14 +150,8 @@ def test_product_lseq_is_binomial_convolution():
         assert lp[n] == sum(comb(n, k) * la[k] * lb[n - k] for k in range(n + 1))
 
 
-def test_sseq_is_stirling_transform_of_lseq():
-    for text in ROUNDTRIP:
-        expr = parse_expr(text)
-        assert list(eval_sseq(expr, 6)) == list(stirling_transform(eval_lseq(expr, 6)))
-
-
 def test_second_order_bell_sseq():
-    got = eval_sseq(parse_expr("(wr (wr (finite 1)))"), 8)
+    got = stirling_transform(eval_lseq(parse_expr("(wr (wr (finite 1)))"), 8))
     assert list(got) == list(oracles.REFINEMENT_PAIRS[:9])
     for n in range(7):
         assert got[n] == oracles.brute_refinement_pairs(n)
