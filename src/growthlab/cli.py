@@ -317,7 +317,7 @@ def _cmd_graphs(args, rows, tel, config) -> int:
         config["class_file"] = args.class_file
         config["mode"] = args.mode
         config["n"] = args.n
-        value = count_labelled(spec, args.n, node_budget=args.budget_nodes)
+        value = count_labelled(spec, args.n, node_budget=args.budget_nodes, counters=tel)
         rows.append({"name": "count_labelled", "n": args.n, "value": value})
         return EXIT_OK
 

@@ -1,8 +1,8 @@
 """Exceptions, the node-budget default and the line reader shared
 across growthlab modules."""
 
-#: backtracking nodes allowed to one search: a whole witness search, or
-#: one induced-embedding test in class counting
+#: nodes allowed to one search: a whole witness search, a whole labelled
+#: class count, or one membership test
 DEFAULT_NODE_BUDGET = 10**7
 
 

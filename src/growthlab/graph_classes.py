@@ -1,30 +1,31 @@
 """Labelled enumeration of small hereditary graph classes.
 
 Provides the half-graph family, flipped disjoint paths with their
-recovery formulas, brute-force labelled counting of hereditary classes
-given by generators or forbidden induced subgraphs, and the largest
+recovery formulas, exact labelled counting of hereditary classes given
+by generators or forbidden induced subgraphs, and the largest
 semi-induced half-graph in a graph.
 
 Graphs are adjacency bitsets (one Python int per vertex), with no
 limit on their size.  Membership testing is backtracking induced-subgraph
-isomorphism on those bitsets, and labelled counting sweeps the whole
-2^C(n,2) labelled-graph space with it, one mask at a time.
+isomorphism on those bitsets.  Labelled counting enumerates the members
+on [n] only, never all 2^C(n,2) graphs: in generators mode as the
+relabellings of the generators' n-vertex induced subgraphs, in
+forbidden mode by extending each member on [k] by one vertex.  One node
+budget bounds a whole count.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb, factorial
+from itertools import combinations, permutations
+from math import factorial
 from typing import Iterable, Iterator
 
 from .errors import DEFAULT_NODE_BUDGET, CapacityError, ParseError, numbered_lines
 
 MODE_GENERATORS = "generators"
 MODE_FORBIDDEN = "forbidden"
-
-#: labelled counting enumerates all graphs on [n]; 2^C(8,2) is too many
-MAX_COUNT_N = 7
 
 
 @dataclass(frozen=True)
@@ -218,15 +219,42 @@ def labelled_path_count(k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# membership: backtracking induced-subgraph isomorphism
+# membership and labelled counting
 # ---------------------------------------------------------------------------
 
-def _embeds_python(pat: list[int], host: list[int], budget: int) -> tuple[bool, int]:
-    """Induced embedding of the pattern into the host, pure-int bitsets."""
+
+class _Budget:
+    """Backtracking and enumeration nodes spent against one limit, which
+    bounds a whole count or membership test in time and in memory."""
+
+    def __init__(self, limit: int, what: str):
+        self.limit = limit
+        self.what = what
+        self.spent = 0
+
+    def spend(self, nodes: int) -> None:
+        self.spent += nodes
+        if self.spent > self.limit:
+            raise CapacityError(f"{self.what}: node budget {self.limit} exceeded")
+
+
+def _embeddings(
+    pat: list[int], host: list[int], budget: _Budget, first: bool = False
+) -> list[list[int]]:
+    """Induced embeddings of the pattern into the host, pure-int bitsets.
+
+    Returns the host images of pattern vertices 0..p-1, one list per
+    embedding, or at most one embedding when ``first``.  Each host
+    vertex tried spends one node of the budget.
+    """
     p, h = len(pat), len(host)
     if p > h:
-        return False, 0
+        return []
+    if p == 0:
+        return [[]]
     full = (1 << h) - 1
+    limit = budget.limit - budget.spent
+    found = []
     img = [0] * p
     cand = [0] * p
     cand[0] = full
@@ -237,73 +265,148 @@ def _embeds_python(pat: list[int], host: list[int], budget: int) -> tuple[bool, 
         if not cand[depth]:
             depth -= 1
             if depth < 0:
-                return False, nodes
+                break
             used &= ~(1 << img[depth])
             continue
         low = cand[depth] & -cand[depth]
         cand[depth] ^= low
-        w = low.bit_length() - 1
         nodes += 1
-        if nodes > budget:
-            raise CapacityError(f"membership node budget {budget} exceeded")
+        if nodes > limit:
+            break  # the spend below raises
+        img[depth] = low.bit_length() - 1
         if depth == p - 1:
-            return True, nodes
-        img[depth] = w
-        used |= 1 << w
+            found.append(img[:])
+            if first:
+                break
+            continue
+        used |= low
         nxt = full & ~used
         for e in range(depth + 1):
-            nxt &= host[img[e]] if pat[depth + 1] >> e & 1 else full & ~host[img[e]]
+            nxt &= host[img[e]] if pat[depth + 1] >> e & 1 else ~host[img[e]]
         depth += 1
         cand[depth] = nxt
-
-
-def _mask_adj(n: int, mask: int) -> list[int]:
-    adj = [0] * n
-    bit = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mask >> bit & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            bit += 1
-    return adj
+    budget.spend(nodes)
+    return found
 
 
 def _member(
-    graphs: list[list[int]], adj: list[int], generator_mode: bool, budget: int
-) -> tuple[bool, int]:
+    graphs: list[list[int]], adj: list[int], generator_mode: bool, budget: _Budget
+) -> bool:
     """Membership of the graph ``adj`` by induced embeddings: into some
     generator, or of no forbidden graph (one larger than ``adj`` fails
-    at once, with no nodes).  Returns the verdict and the embedding
-    nodes spent."""
-    nodes_total = 0
+    at once, with no nodes)."""
     for other in graphs:
         if generator_mode:
-            found, nodes = _embeds_python(adj, other, budget)
+            found = _embeddings(adj, other, budget, first=True)
         else:
-            found, nodes = _embeds_python(other, adj, budget)
-        nodes_total += nodes
+            found = _embeddings(other, adj, budget, first=True)
         if found:
-            return generator_mode, nodes_total
-    return not generator_mode, nodes_total
-
-
-def _count_masks_python(
-    n: int, graphs: list[list[int]], generator_mode: bool, budget: int
-) -> tuple[int, int]:
-    count = 0
-    nodes_total = 0
-    for mask in range(1 << comb(n, 2)):
-        member, nodes = _member(graphs, _mask_adj(n, mask), generator_mode, budget)
-        count += member
-        nodes_total += nodes
-    return count, nodes_total
+            return generator_mode
+    return not generator_mode
 
 
 def graph_in_class(spec: ClassSpec, g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """Membership of one graph in the class, by induced embeddings."""
     graphs = [list(h.adj) for h in spec.graphs]
-    return _member(graphs, list(g.adj), spec.mode == MODE_GENERATORS, node_budget)[0]
+    budget = _Budget(node_budget, "membership test")
+    return _member(graphs, list(g.adj), spec.mode == MODE_GENERATORS, budget)
+
+
+def _count_generated(gens: list[list[int]], n: int, budget: _Budget) -> int:
+    """Labelled graphs on [n] isomorphic to an induced subgraph of a
+    generator: the union of the orbits, under relabelling, of the
+    n-vertex induced subgraphs.
+
+    Each graph on [n] is an edge mask, pair {a, b} (a < b) on bit
+    ``bit[a][b]``.  An induced subgraph whose mask is already a member
+    lies in an orbit already added, so the n! relabellings are spent
+    once per isomorphism type, not once per subset.
+    """
+    bit = [[0] * n for _ in range(n)]
+    pairs = list(combinations(range(n), 2))
+    for index, (a, b) in enumerate(pairs):
+        bit[a][b] = bit[b][a] = 1 << index
+    orbit = factorial(n)
+    members: set[int] = set()
+    for g in gens:
+        for sub in combinations(range(len(g)), n):
+            budget.spend(1)
+            edges = [(a, b) for a, b in pairs if g[sub[a]] >> sub[b] & 1]
+            if sum(bit[a][b] for a, b in edges) in members:
+                continue
+            budget.spend(orbit)
+            members.update(
+                sum([bit[p[a]][p[b]] for a, b in edges]) for p in permutations(range(n))
+            )
+    return len(members)
+
+
+def _rooted(forbidden: list[list[int]]) -> list[tuple[list[int], int]]:
+    """Every forbidden graph F rooted at each of its vertices x: the
+    pattern F - x, its vertices in breadth-first order from x so that
+    the search prunes early, and the bitset of the pattern positions
+    adjacent to x.  Roots that give the same pair are kept once."""
+    out = {}
+    for f in forbidden:
+        for x in range(len(f)):
+            order = [x]
+            for u in order:
+                order += [w for w in range(len(f)) if f[u] >> w & 1 and w not in order]
+            order += [w for w in range(len(f)) if w not in order]
+            rest = order[1:]
+            pat = tuple(sum(1 << j for j, w in enumerate(rest) if f[u] >> w & 1) for u in rest)
+            near = sum(1 << i for i, w in enumerate(rest) if f[x] >> w & 1)
+            out[pat, near] = None
+    return [(list(pat), near) for pat, near in out]
+
+
+def _count_forbidden(forbidden: list[list[int]], n: int, budget: _Budget) -> int:
+    """Labelled graphs on [n] with no forbidden induced subgraph, by
+    hereditary extension.
+
+    A member on [k+1] restricts to exactly one member on [k], so the
+    members on [n] are the leaves of a tree rooted at the empty graph on
+    [0], walked depth first: a member on [k] has one child for each
+    neighbourhood N of the new vertex k that creates no forbidden copy.
+    Its parent is free of them, so only copies through k are sought.
+    Such a copy is F - x embedded in the parent with x's neighbours
+    inside N and its other vertices outside, and it rules out every N
+    with those two properties at once.  The neighbourhoods are the bits
+    of a 2^k-bit truth table: bit N of ``col[v]`` is set iff v is in N,
+    so each copy clears the AND of its columns, and the last level
+    counts the bits left set.  Each parent spends 2^k nodes, one per
+    candidate neighbourhood, plus its embedding nodes.
+    """
+    rooted = _rooted(forbidden)
+    # tables[k]: the all-ones table on 2^k bits and col[0..k-1]
+    tables = [(1, [])]
+
+    def extend(rows: list[int]) -> int:
+        k = len(rows)
+        budget.spend(1 << k)
+        if k == len(tables):
+            every, col = tables[-1]
+            half = 1 << (k - 1)
+            tables.append((every << half | every, [c << half | c for c in col] + [every << half]))
+        every, col = tables[k]
+        bad = 0
+        for pat, near in rooted:
+            for img in _embeddings(pat, rows, budget):
+                copy = every
+                for i, w in enumerate(img):
+                    copy &= col[w] if near >> i & 1 else every ^ col[w]
+                bad |= copy
+        valid = every & ~bad
+        if k + 1 == n:
+            return valid.bit_count()
+        # the binary digits of valid, lowest first, mark the children
+        return sum(
+            extend([r | 1 << k if nbrs >> i & 1 else r for i, r in enumerate(rows)] + [nbrs])
+            for nbrs, digit in enumerate(bin(valid)[:1:-1])
+            if digit == "1"
+        )
+
+    return extend([])
 
 
 def count_labelled(
@@ -311,21 +414,30 @@ def count_labelled(
     n: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    counters: dict | None = None,
 ) -> int:
     """Exact number of labelled graphs on [n] that belong to the class.
 
-    Enumerates all 2^C(n,2) graphs on [n] and tests membership, so n is
-    capped at MAX_COUNT_N.
+    Generators mode collects the relabellings of the n-vertex induced
+    subgraphs of the generators; forbidden mode extends the members on
+    [k] by one vertex at a time.  ``node_budget`` bounds the whole
+    count: every subset, relabelling, candidate neighbourhood and
+    embedding node spends one, and running out raises CapacityError.
+    With ``counters``, the nodes spent are added to ``counters["nodes"]``.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > MAX_COUNT_N:
-        raise CapacityError(f"labelled counting is capped at n = {MAX_COUNT_N}; got n = {n}")
     if n == 0:
         return 1
     graphs = [list(g.adj) for g in spec.graphs]
-    count, _ = _count_masks_python(n, graphs, spec.mode == MODE_GENERATORS, node_budget)
-    return count
+    budget = _Budget(node_budget, f"labelled count at n = {n}")
+    try:
+        if spec.mode == MODE_GENERATORS:
+            return _count_generated(graphs, n, budget)
+        return _count_forbidden(graphs, n, budget)
+    finally:
+        if counters is not None:
+            counters["nodes"] += budget.spent
 
 
 def semi_induced_order(

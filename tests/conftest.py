@@ -1,7 +1,6 @@
 """Shared fixtures: data paths, the CLI runner, and the kernel id.
 
-Each hot loop (the orbit BFS and the labelled mask sweep) has one
-kernel, the NumPy/Python one.  Tests of those loops request the
+The orbit BFS has one kernel, the NumPy one.  Its tests request the
 ``kernel`` fixture only so that their ids keep the ``[numpy]`` part
 they carried when a second kernel existed, and stay comparable with
 earlier test records.

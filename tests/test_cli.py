@@ -230,10 +230,22 @@ def test_graphs_count_generators():
 
 
 def test_graphs_count_capacity():
-    proc = run_cli(
-        "graphs", "count", "--class-file", FORBID_K2, "--mode", "forbidden", "--n", "9"
+    code, env = cli_json(
+        "graphs", "count", "--class-file", FORBID_K2, "--mode", "forbidden", "--n", "9",
+        "--budget-nodes", "100",
     )
-    assert proc.returncode == 3
+    assert code == 3
+    assert "n = 9: node budget 100 exceeded" in env["telemetry"]["capacity"]
+
+
+def test_graphs_count_reports_nodes():
+    code, env = cli_json(
+        "graphs", "count", "--class-file", P3_K3, "--mode", "forbidden", "--n", "5",
+        "--deterministic",
+    )
+    assert code == 0
+    assert rows_by_name(env, "count_labelled")[0]["value"] == "26"
+    assert int(env["telemetry"]["nodes"]) > 0
 
 
 def test_graphs_semiinduced(tmp_path):

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 from math import factorial
 
 import pytest
@@ -13,7 +15,7 @@ from growthlab import CapacityError, ClassSpec, FlipSpec, Graph, ParseError
 from growthlab import count_labelled, flip_recover, flipped_paths, graph_in_class
 from growthlab import half_graph, labelled_path_count, parse_class_spec, parse_graph
 from growthlab import semi_induced_order
-from growthlab.graph_classes import MAX_COUNT_N, MODE_FORBIDDEN, MODE_GENERATORS
+from growthlab.graph_classes import MODE_FORBIDDEN, MODE_GENERATORS
 
 import oracles
 
@@ -21,6 +23,7 @@ K2 = Graph.from_edges(2, [(0, 1)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+K1 = Graph(1, (0,))
 
 
 def path(k: int) -> Graph:
@@ -80,14 +83,12 @@ def test_half_graph_structure():
 # Labelled counting vs brute force
 
 
-@pytest.mark.usefixtures("kernel")
 def test_forbidden_single_edge_counts_one():
     spec = ClassSpec(MODE_FORBIDDEN, (K2,))
     for n in range(1, 5):
         assert count_labelled(spec, n) == 1
 
 
-@pytest.mark.usefixtures("kernel")
 def test_forbidden_p3_counts_equivalence_graphs():
     # No induced P_3 means disjoint unions of cliques: Bell many per n.
     spec = ClassSpec(MODE_FORBIDDEN, (P3,))
@@ -96,13 +97,11 @@ def test_forbidden_p3_counts_equivalence_graphs():
         assert count_labelled(spec, n) == want[n]
 
 
-@pytest.mark.usefixtures("kernel")
 def test_generators_path_triangle():
     spec = ClassSpec(MODE_GENERATORS, (P3, K3))
     assert count_labelled(spec, 3) == 4
 
 
-@pytest.mark.usefixtures("kernel")
 def test_count_matches_brute():
     cases = [
         (MODE_FORBIDDEN, (K2,)),
@@ -111,17 +110,24 @@ def test_count_matches_brute():
         (MODE_GENERATORS, (P3, K3)),
         (MODE_GENERATORS, (half_graph(3),)),
         (MODE_GENERATORS, (P4,)),
+        (MODE_GENERATORS, (K2, P4)),
+        (MODE_FORBIDDEN, (K1,)),
+        (MODE_GENERATORS, (K2, P3)),
     ]
     for mode, graphs in cases:
         spec = ClassSpec(mode, graphs)
         brute_graphs = [edge_sets(g) for g in graphs]
-        for n in range(1, 5):
+        for n in range(1, 6):
             got = count_labelled(spec, n)
             want = oracles.brute_count_labelled(mode, brute_graphs, n)
             assert got == want, (mode, n)
+    # nothing on [n] avoids K1, and generators smaller than n have no
+    # n-vertex induced subgraph
+    assert count_labelled(ClassSpec(MODE_FORBIDDEN, (K1,)), 5) == 0
+    assert count_labelled(ClassSpec(MODE_GENERATORS, (K2, P3)), 4) == 0
 
 
-@given(small_graphs(max_v=4), st.integers(min_value=1, max_value=4))
+@given(small_graphs(max_v=4), st.integers(min_value=1, max_value=5))
 @settings(deadline=None, max_examples=40)
 def test_count_matches_brute_random_forbidden(g, n):
     spec = ClassSpec(MODE_FORBIDDEN, (g,))
@@ -129,7 +135,7 @@ def test_count_matches_brute_random_forbidden(g, n):
     assert count_labelled(spec, n) == want
 
 
-@given(small_graphs(max_v=5), st.integers(min_value=1, max_value=4))
+@given(small_graphs(max_v=5), st.integers(min_value=1, max_value=5))
 @settings(deadline=None, max_examples=40)
 def test_count_matches_brute_random_generators(g, n):
     spec = ClassSpec(MODE_GENERATORS, (g,))
@@ -137,13 +143,62 @@ def test_count_matches_brute_random_generators(g, n):
     assert count_labelled(spec, n) == want
 
 
+def test_forbidden_p3_k3_counts_involutions():
+    # {P3, K3}-free graphs are matchings
+    spec = ClassSpec(MODE_FORBIDDEN, (P3, K3))
+    want = oracles.involutions_by_recurrence(9)
+    assert [count_labelled(spec, n) for n in range(10)] == want
+
+
+def test_forbidden_p3_counts_bell_to_8():
+    spec = ClassSpec(MODE_FORBIDDEN, (P3,))
+    assert [count_labelled(spec, n) for n in range(9)] == [
+        oracles.bell_by_triangle(n) for n in range(9)
+    ]
+
+
+def test_generators_half_graph_8_at_7():
+    assert count_labelled(ClassSpec(MODE_GENERATORS, (half_graph(8),)), 7) == 23647
+
+
+def test_count_reports_nodes():
+    counters = {"nodes": 0}
+    assert count_labelled(ClassSpec(MODE_FORBIDDEN, (P3, K3)), 5, counters=counters) == 26
+    assert counters["nodes"] > 0
+    spent = counters["nodes"]
+    count_labelled(ClassSpec(MODE_GENERATORS, (P3, K3)), 3, counters=counters)
+    assert counters["nodes"] > spent
+
+
 def test_count_rejects_large_n():
+    # forbidden K2 has one member per n, but the 2^k candidate
+    # neighbourhoods of each vertex k exhaust the default budget
     spec = ClassSpec(MODE_FORBIDDEN, (K2,))
-    with pytest.raises(CapacityError):
-        count_labelled(spec, MAX_COUNT_N + 1)
+    with pytest.raises(CapacityError, match=r"count at n = 30: node budget 10000000 exceeded"):
+        count_labelled(spec, 30)
 
 
-@pytest.mark.usefixtures("kernel")
+def test_count_memory_stays_bounded_on_budget_exhaustion():
+    # the K5-free graphs on [12] are far more than the default budget
+    script = """
+import resource
+from itertools import combinations
+from growthlab import CapacityError, ClassSpec, Graph, count_labelled
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+k5 = Graph.from_edges(5, combinations(range(5), 2))
+try:
+    count_labelled(ClassSpec("forbidden", (k5,)), 12)
+    print("no error")
+except CapacityError:
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) // 1024)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
+
+
 def test_count_node_budget():
     spec = ClassSpec(MODE_GENERATORS, (half_graph(4),))
     with pytest.raises(CapacityError):
@@ -185,7 +240,6 @@ def test_labelled_path_count_closed_form():
         assert labelled_path_count(k) == factorial(k) // 2
 
 
-@pytest.mark.usefixtures("kernel")
 def test_labelled_path_count_matches_generator_count():
     # On exactly k vertices the age of P_k contains only P_k itself.
     for k in (3, 4, 5):
