@@ -154,6 +154,7 @@ def _cmd_seq(args, rows, tel, config) -> int:
         rows.append({"name": "s", "n": n, "value": sseq[n]})
     code = EXIT_OK
     if args.oracle_check:
+        tel["bfs_levels"] = 0
         top = min(args.max_n, ORACLE_CHECK_MAX_N)
         if args.trunc_m is not None:
             if args.trunc_m < 1:
@@ -165,6 +166,7 @@ def _cmd_seq(args, rows, tel, config) -> int:
                 group = truncate_expr(expr, m)
                 oc = count_orbits_injective(group, n, budget=args.budget_tuples)
                 tel["tuples_visited"] += oc.tuples_visited
+                tel["bfs_levels"] += oc.levels
                 ok = oc.count == lseq[n]
                 rows.append(
                     {
@@ -416,13 +418,23 @@ def _cmd_witness(args, rows, tel, config) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"budget must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--deterministic", action="store_true")
-    common.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET, dest="budget_tuples")
-    common.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET, dest="budget_nodes")
+    common.add_argument("--budget-tuples", type=_budget, default=DEFAULT_TUPLE_BUDGET, dest="budget_tuples")
+    common.add_argument("--budget-nodes", type=_budget, default=DEFAULT_NODE_BUDGET, dest="budget_nodes")
 
     parser = argparse.ArgumentParser(
         prog="growthlab",

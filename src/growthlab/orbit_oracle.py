@@ -8,17 +8,25 @@ the point of this module is to be trustworthy first and fast second.
 Tuples over a domain of size d are encoded as mixed-radix integers
 sum p_i * d^i, and the visited set is a flat byte array, so the state
 space d^n must fit the MAX_TUPLE_STATES cap.  One NumPy kernel does the
-search, a whole BFS level at a time.  It splits each code into its
-k = n // 2 low digits and its n - k high digits.  The image of a code
-under a generator is then the sum of two lookup-table entries, one per
-half.  New codes are deduplicated by an in-place sort that keeps each
-entry unlike its predecessor.  For injective counts, the codes that
-repeat a point are marked visited before the search.  That marking pass
-uses the same split: repeats within the low half, repeats within the
-high half, and equal digits across the two halves.  Two budgets protect
-the caller: a tuple budget on visited states (every BFS) and an element
-budget on group closure (only stabilizer_bound_check enumerates group
-elements).  Hitting either raises CapacityError, never a wrong count.
+search.  It splits each code into its k = n // 2 low digits and its
+n - k high digits, so the image of a code under a generator is the sum
+of two lookup-table entries, one per half.  For injective counts, the
+codes that repeat a point are marked before the search, with the same
+split: repeats within the low half, repeats within the high half, and
+equal digits across the two halves.
+
+The search is a multi-source BFS over batches of seeds.  Each visited
+byte holds the label of the seed that reached it, and seeds found to
+share an orbit are merged in a union-find over the 254 labels of a
+batch.  A level applies one generator at a time and marks its new codes
+before the next generator reads them; images of a duplicate-free
+frontier under a permutation are duplicate-free, so the frontier never
+needs deduplicating.  The batch size follows the mean orbit size seen
+so far, so many small orbits share their levels while a few deep ones
+keep frontiers narrow.  Two budgets protect the caller: a tuple budget
+on visited states (every BFS) and an element budget on group closure
+(only stabilizer_bound_check enumerates group elements).  Hitting
+either raises CapacityError, never a wrong count.
 """
 
 from __future__ import annotations
@@ -75,14 +83,17 @@ class FinPermGroup:
 class OrbitCount:
     """Result of one orbit count, with telemetry.
 
-    ``tuples_visited`` is the number of tuples the BFS actually marked;
-    it is deterministic for a given group, n and injectivity flag.
+    ``tuples_visited`` is the number of tuples the BFS actually marked,
+    and ``levels`` the number of BFS levels it expanded, summed over its
+    batches of seeds; both are deterministic for a given group, n and
+    injectivity flag.
     """
 
     n: int
     injective: bool
     count: int
     tuples_visited: int
+    levels: int
 
 
 def _digits(size: int, domain: int, width: int) -> np.ndarray:
@@ -99,6 +110,14 @@ def _repeats(digs: np.ndarray) -> np.ndarray:
         for j in range(i + 1, width):
             bad |= digs[:, i] == digs[:, j]
     return bad
+
+
+def _budget_error(budget: int, total: int, domain: int, n: int, injective: bool) -> CapacityError:
+    kind = "injective" if injective else "all"
+    return CapacityError(
+        f"tuple budget {budget} exceeded after visiting {total} tuples"
+        f" (orbits on {kind} {n}-tuples of degree {domain})"
+    )
 
 
 def _bfs_orbits_numpy(gens: np.ndarray, domain: int, n: int, injective: bool, budget: int):
@@ -118,70 +137,114 @@ def _bfs_orbits_numpy(gens: np.ndarray, domain: int, n: int, injective: bool, bu
     img_hi = (gens[:, hi_digs] @ (domain ** np.arange(k, n, dtype=np.int64))).astype(np.int32)
     chunk = 1 << 18
 
-    # visited[hi, lo] in the flat order of the codes; non-injective
-    # codes are marked in advance so the start scan skips them, a block
-    # of rows at a time so that no temporary grows to the state space
-    visited = np.zeros((hi_size, lo_size), dtype=bool)
+    # vis[hi, lo] in the flat order of the codes, one byte per code:
+    # 0 unvisited, 1 not injective (marked in advance, a block of rows
+    # at a time so that no temporary grows to the state space), and a
+    # batch label 2..255 once visited
+    vis = np.zeros((hi_size, lo_size), dtype=np.uint8)
     if injective and n >= 2:
         lo_rep = _repeats(lo_digs)
         hi_rep = _repeats(hi_digs)
         rows = max(1, chunk // lo_size)
         for r in range(0, hi_size, rows):
-            block = visited[r : r + rows]
+            block = vis[r : r + rows]
             block |= lo_rep
             block |= hi_rep[r : r + rows, None]
             for i in range(k):
                 for j in range(n - k):
                     block |= hi_digs[r : r + rows, j, None] == lo_digs[:, i]
-    visited = visited.reshape(size)
+    vis = vis.reshape(size)
 
+    # Multi-source BFS.  A batch seeds the next unvisited codes in scan
+    # order, seed i with label i + 2, and spreads each label along the
+    # generators.  When a label reaches a code that carries another
+    # one, the two seeds share an orbit and their labels are merged in
+    # ``root``, a union-find over the 256 byte values kept fully
+    # compressed; the batch adds one orbit per distinct root among its
+    # seeds.  The group is finite, so forward reachability along the
+    # generators is exactly the orbit.  Earlier batches therefore left
+    # only closed orbits behind, and injective codes never map to
+    # non-injective ones: a batch never reaches a code that an earlier
+    # batch labelled, and every batch reuses labels 2..255.
     count = 0
     total = 0
+    levels = 0
     scan = 0
     while scan < size:
-        # argmin stops at the first unvisited code of the block, if any
-        block = visited[scan : scan + chunk]
-        first = int(block.argmin())
-        if block[first]:
-            scan += block.size
-            continue
-        start = scan + first
-        scan = start
-        count += 1
-        total += 1
-        visited[start] = True
-        if total > budget:
-            raise CapacityError(f"tuple budget {budget} exceeded after visiting {total} tuples")
-        frontier = np.array([start], dtype=np.int32)
-        while frontier.size and gens.shape[0]:
-            hi, lo = np.divmod(frontier, lo_size)
-            cand = (img_lo.take(lo, axis=1) + img_hi.take(hi, axis=1)).reshape(-1)
-            cand = cand[~visited[cand]]
-            if cand.size == 0:
+        # aim the batch's orbits, at the mean orbit size so far, at
+        # about one chunk of codes; the first batch has one seed.  The
+        # seeds are the next unvisited codes, looked for in windows of
+        # a sixteenth of a chunk, so a batch scans little past its seeds.
+        want = min(max(chunk * count // total, 1), 254) if total else 1
+        seeds = []
+        while scan < size:
+            free = np.flatnonzero(vis[scan : scan + (chunk >> 4)] == 0)[:want]
+            seeds.append(scan + free)
+            want -= free.size
+            if want == 0:
+                scan += int(free[-1]) + 1
                 break
-            # deduplicate: sort, then keep each entry unlike its predecessor
-            cand.sort()
-            keep = np.empty(cand.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(cand[1:], cand[:-1], out=keep[1:])
-            cand = cand[keep]
-            visited[cand] = True
-            total += cand.size
-            if total > budget:
-                raise CapacityError(
-                    f"tuple budget {budget} exceeded after visiting {total} tuples"
-                )
-            frontier = cand
-    return count, total
+            scan += chunk >> 4
+        frontier = np.concatenate(seeds).astype(np.int32)
+        if frontier.size == 0:
+            break
+        flab = np.arange(2, frontier.size + 2, dtype=np.uint8)
+        vis[frontier] = flab
+        total += frontier.size
+        if total > budget:
+            raise _budget_error(budget, total, domain, n, injective)
+        root = np.arange(256, dtype=np.uint8)
+        roots = frontier.size
+        while frontier.size and gens.shape[0]:
+            levels += 1
+            hi, lo = np.divmod(frontier, lo_size)
+            nxt = []
+            nxt_lab = []
+            for j in range(gens.shape[0]):
+                img = img_lo[j].take(lo)
+                img += img_hi[j].take(hi)
+                seen = vis.take(img)
+                new = seen == 0
+                img_new = img[new]
+                nxt.append(img_new)
+                if roots == 1:
+                    # one orbit is left in the batch, and one label
+                    vis[img_new] = root[2]
+                else:
+                    # a hit on another root's code merges the two seeds;
+                    # codes never reached before have root[0] = 0 here
+                    rs = root.take(seen)
+                    clash = rs != flab
+                    if np.count_nonzero(clash) > img_new.size:
+                        clash &= ~new
+                        pairs = np.unique(rs[clash].astype(np.int32) * 256 + flab[clash])
+                        for p in pairs.tolist():
+                            a = root[p >> 8]
+                            b = root[p & 255]
+                            if a != b:
+                                root[root == a] = b
+                                roots -= 1
+                        flab = root.take(flab)
+                    lab_new = flab[new]
+                    vis[img_new] = lab_new
+                    nxt_lab.append(lab_new)
+                total += img_new.size
+                if total > budget:
+                    raise _budget_error(budget, total, domain, n, injective)
+            frontier = np.concatenate(nxt)
+            if roots > 1:
+                flab = root.take(np.concatenate(nxt_lab))
+        count += roots
+    return count, total, levels
 
 
 def _count_orbits(group: FinPermGroup, n: int, injective: bool, budget: int) -> OrbitCount:
     if n < 0:
         raise ValueError("tuple length must be non-negative")
     if n == 0:
-        return OrbitCount(0, injective, 1, 0)
+        return OrbitCount(0, injective, 1, 0, 0)
     if injective and n > group.degree:
-        return OrbitCount(n, injective, 0, 0)
+        return OrbitCount(n, injective, 0, 0, 0)
     size = group.degree**n
     if size > MAX_TUPLE_STATES:
         raise CapacityError(
@@ -190,8 +253,8 @@ def _count_orbits(group: FinPermGroup, n: int, injective: bool, budget: int) -> 
     gens = np.array(group.generators, dtype=np.int64).reshape(
         len(group.generators), group.degree
     )
-    count, total = _bfs_orbits_numpy(gens, group.degree, n, injective, budget)
-    return OrbitCount(n, injective, count, total)
+    count, total, levels = _bfs_orbits_numpy(gens, group.degree, n, injective, budget)
+    return OrbitCount(n, injective, count, total, levels)
 
 
 def count_orbits_injective(

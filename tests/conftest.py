@@ -1,10 +1,4 @@
-"""Shared fixtures: data paths, the CLI runner, and the kernel id.
-
-The orbit BFS has one kernel, the NumPy one.  Its tests request the
-``kernel`` fixture only so that their ids keep the ``[numpy]`` part
-they carried when a second kernel existed, and stay comparable with
-earlier test records.
-"""
+"""Shared fixtures: data paths and the CLI runner."""
 from __future__ import annotations
 
 import json
@@ -20,11 +14,6 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA
-
-
-@pytest.fixture(params=["numpy"])
-def kernel(request) -> str:
-    return request.param
 
 
 def run_cli(*args: str, timeout: float = 300.0) -> subprocess.CompletedProcess:

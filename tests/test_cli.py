@@ -100,6 +100,38 @@ def test_seq_capacity_exit(tmp_path):
     assert len(rows_by_name(env, "l")) == len(rows_by_name(env, "s")) == 5
 
 
+def test_seq_capacity_names_the_stage():
+    # the visit count in the message depends on visit order; only the
+    # budget and the stage are pinned
+    proc = run_cli("seq", E_REL, "--max-n", "4", "--oracle-check", "--budget-tuples", "5")
+    assert proc.returncode == 3
+    capacity = json.loads(proc.stdout)["telemetry"]["capacity"]
+    assert capacity.startswith("tuple budget 5 exceeded after visiting ")
+    assert capacity.endswith("(orbits on injective 2-tuples of degree 4)")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--budget-tuples", "-5"), ("--budget-tuples", "0"), ("--budget-nodes", "-1")],
+)
+def test_budget_below_one_is_input_error(flag, value):
+    proc = run_cli("seq", E_REL, "--max-n", "4", "--oracle-check", flag, value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument {flag}: budget must be at least 1, got {value}" in proc.stderr
+
+
+def test_oracle_check_reports_bfs_levels_deterministically():
+    args = ("seq", E_REL, "--max-n", "4", "--oracle-check", "--deterministic")
+    a = run_cli(*args)
+    b = run_cli(*args)
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
+    tel = json.loads(a.stdout)["telemetry"]
+    assert int(tel["bfs_levels"]) > 0
+    assert int(tel["tuples_visited"]) > 0
+
+
 # ---------------------------------------------------------------------------
 # bounds
 

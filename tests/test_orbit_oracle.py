@@ -4,6 +4,8 @@ from __future__ import annotations
 from math import comb, factorial, perm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from growthlab import CapacityError, DirectProduct, FinPermGroup, Finite, WreathSomega
 from growthlab import count_orbits_all, count_orbits_injective, parse_expr
@@ -54,7 +56,6 @@ def test_symmetric_and_trivial_constructors():
 # Closed forms
 
 
-@pytest.mark.usefixtures("kernel")
 def test_symmetric_group_orbit_counts():
     g = FinPermGroup.symmetric(4)
     for n in range(6):
@@ -62,7 +63,6 @@ def test_symmetric_group_orbit_counts():
         assert count_orbits_injective(g, n).count == expect
 
 
-@pytest.mark.usefixtures("kernel")
 def test_trivial_group_counts_injections():
     g = FinPermGroup.trivial(4)
     for n in range(6):
@@ -70,7 +70,6 @@ def test_trivial_group_counts_injections():
         assert count_orbits_injective(g, n).count == expect
 
 
-@pytest.mark.usefixtures("kernel")
 def test_empty_tuple_has_one_orbit():
     assert count_orbits_injective(FinPermGroup.symmetric(3), 0).count == 1
     assert count_orbits_all(FinPermGroup.symmetric(3), 0).count == 1
@@ -81,7 +80,6 @@ def test_empty_tuple_has_one_orbit():
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-@pytest.mark.usefixtures("kernel")
 def test_injective_orbits_match_brute(name):
     g = ZOO[name]
     for n in range(6):
@@ -91,7 +89,6 @@ def test_injective_orbits_match_brute(name):
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-@pytest.mark.usefixtures("kernel")
 def test_all_tuple_orbits_match_brute(name):
     g = ZOO[name]
     for n in range(6):
@@ -111,6 +108,58 @@ def test_stirling_identity_links_all_and_injective(name):
         )
 
 
+# ---------------------------------------------------------------------------
+# Multi-source BFS: more orbits than one batch of 254 seeds holds
+
+
+def test_free_c3_has_more_orbits_than_a_batch():
+    # (0 1 2)(3 4 5)(6 7 8) acts freely on injective tuples, so its
+    # 9 * 8 * 7 * 6 = 3024 injective 4-tuples fall into 1008 orbits of 3;
+    # batches of seeds in scan order hold seeds that share an orbit.
+    g = FinPermGroup(9, ((1, 2, 0, 4, 5, 3, 7, 8, 6),))
+    want = oracles.brute_orbit_count(g.generators, g.degree, 4, injective=True)
+    r = count_orbits_injective(g, 4)
+    assert want == 1008
+    assert (r.count, r.tuples_visited) == (want, 3024)
+
+
+def test_trivial_group_has_more_orbits_than_a_batch():
+    # no generators: every injective 4-tuple of 7 points is its own orbit
+    g = FinPermGroup.trivial(7)
+    want = oracles.brute_orbit_count(g.generators, g.degree, 4, injective=True)
+    r = count_orbits_injective(g, 4)
+    assert want == 840
+    assert (r.count, r.tuples_visited, r.levels) == (want, 840, 0)
+
+
+@st.composite
+def small_groups(draw):
+    degree = draw(st.integers(min_value=1, max_value=7))
+    gens = draw(st.lists(st.permutations(range(degree)), max_size=3))
+    return FinPermGroup(degree, tuple(tuple(g) for g in gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(), st.integers(min_value=0, max_value=4), st.booleans())
+def test_random_generators_match_brute(g, n, injective):
+    # keep the brute-force oracle, |G| * d^n tuple images, small
+    assume(len(oracles.group_closure(g.generators, g.degree)) * g.degree**n <= 100_000)
+    count = count_orbits_injective if injective else count_orbits_all
+    r = count(g, n)
+    assert r.count == oracles.brute_orbit_count(g.generators, g.degree, n, injective=injective)
+    if n:
+        assert r.tuples_visited == (perm(g.degree, n) if injective else g.degree**n)
+
+
+def test_many_small_orbits_share_their_levels():
+    # wide-2628: one BFS per orbit ran 35,507 levels; batches of seeds
+    # expand fewer levels than there are orbits
+    g = truncate_expr(parse_expr("(wr (prod (finite 3) (wr (finite 1))))"), 5)
+    r = count_orbits_injective(g, 4)
+    assert r.count == 2628
+    assert 0 < r.levels < r.count
+
+
 def test_telemetry_counts_visited_tuples():
     r = count_orbits_injective(FinPermGroup.symmetric(3), 2)
     assert r.tuples_visited == 6  # all injective pairs from 3 points
@@ -118,7 +167,6 @@ def test_telemetry_counts_visited_tuples():
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-@pytest.mark.usefixtures("kernel")
 def test_tuples_visited_covers_the_state_space(name):
     # Every tuple of the counted kind lies in exactly one orbit, so the
     # BFS marks each of them once: deg^n tuples in all, and the falling
@@ -147,12 +195,19 @@ def test_tuple_budget_exhaustion_raises():
         count_orbits_injective(FinPermGroup.trivial(10), 4, budget=100)
 
 
-@pytest.mark.usefixtures("kernel")
 def test_tuple_budget_exhaustion_inside_the_frontier_raises():
     # S_6 has one orbit of 120 injective triples: the budget runs out
     # while the BFS grows that orbit, not between orbit starts.
     with pytest.raises(CapacityError):
         count_orbits_injective(FinPermGroup.symmetric(6), 3, budget=50)
+
+
+def test_tuple_budget_error_names_its_stage():
+    with pytest.raises(CapacityError) as err:
+        count_orbits_all(FinPermGroup.symmetric(6), 3, budget=50)
+    message = str(err.value)
+    assert message.startswith("tuple budget 50 exceeded after visiting ")
+    assert message.endswith("(orbits on all 3-tuples of degree 6)")
 
 
 def test_state_space_cap():
@@ -243,14 +298,12 @@ def test_stabilizer_bound_element_budget():
 # Determinism
 
 
-@pytest.mark.usefixtures("kernel")
 def test_counts_are_deterministic():
     g = ZOO["a4"]
     runs = [count_orbits_injective(g, 3) for _ in range(2)]
     assert runs[0] == runs[1]
 
 
-@pytest.mark.usefixtures("kernel")
 def test_injective_zero_beyond_degree():
     g = ZOO["s3"]
     assert count_orbits_injective(g, 4).count == 0
