@@ -1,4 +1,10 @@
-"""Shared fixtures: data paths and the CLI runner."""
+"""Shared fixtures: data paths, the CLI runner, and the kernel id.
+
+The orbit BFS has one kernel, the NumPy one.  Three of its tests, one
+case per group of the zoo, still request the ``kernel`` fixture only so
+that their ids keep the ``[numpy-<group>]`` form they carried when a
+second kernel existed, and stay comparable with earlier test records.
+"""
 from __future__ import annotations
 
 import json
@@ -14,6 +20,11 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA
+
+
+@pytest.fixture(params=["numpy"])
+def kernel(request) -> str:
+    return request.param
 
 
 def run_cli(*args: str, timeout: float = 300.0) -> subprocess.CompletedProcess:

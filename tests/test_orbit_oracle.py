@@ -80,6 +80,7 @@ def test_empty_tuple_has_one_orbit():
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
+@pytest.mark.usefixtures("kernel")
 def test_injective_orbits_match_brute(name):
     g = ZOO[name]
     for n in range(6):
@@ -89,6 +90,7 @@ def test_injective_orbits_match_brute(name):
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
+@pytest.mark.usefixtures("kernel")
 def test_all_tuple_orbits_match_brute(name):
     g = ZOO[name]
     for n in range(6):
@@ -167,6 +169,7 @@ def test_telemetry_counts_visited_tuples():
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
+@pytest.mark.usefixtures("kernel")
 def test_tuples_visited_covers_the_state_space(name):
     # Every tuple of the counted kind lies in exactly one orbit, so the
     # BFS marks each of them once: deg^n tuples in all, and the falling
