@@ -155,6 +155,7 @@ def _cmd_seq(args, rows, tel, config) -> int:
     code = EXIT_OK
     if args.oracle_check:
         tel["bfs_levels"] = 0
+        tel["bfs_states"] = 0
         top = min(args.max_n, ORACLE_CHECK_MAX_N)
         if args.trunc_m is not None:
             if args.trunc_m < 1:
@@ -167,6 +168,7 @@ def _cmd_seq(args, rows, tel, config) -> int:
                 oc = count_orbits_injective(group, n, budget=args.budget_tuples)
                 tel["tuples_visited"] += oc.tuples_visited
                 tel["bfs_levels"] += oc.levels
+                tel["bfs_states"] += oc.states
                 ok = oc.count == lseq[n]
                 rows.append(
                     {
@@ -327,7 +329,9 @@ def _cmd_graphs(args, rows, tel, config) -> int:
         graph = parse_graph(Path(args.graph_file).read_text())
         config["graph_file"] = args.graph_file
         config["lax"] = args.lax
-        value = semi_induced_order(graph, lax=args.lax, node_budget=args.budget_nodes)
+        value = semi_induced_order(
+            graph, lax=args.lax, node_budget=args.budget_nodes, counters=tel
+        )
         rows.append({"name": "semi_induced_order", "value": value})
         return EXIT_OK
 

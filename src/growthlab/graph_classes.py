@@ -441,7 +441,11 @@ def count_labelled(
 
 
 def semi_induced_order(
-    G: Graph, *, lax: bool = False, node_budget: int = DEFAULT_NODE_BUDGET
+    G: Graph,
+    *,
+    lax: bool = False,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    counters: dict | None = None,
 ) -> int:
     """Largest t such that the half-graph on 2t vertices is semi-induced.
 
@@ -453,7 +457,8 @@ def semi_induced_order(
     is always distinct within itself.
 
     Backtracking chooses a_0, b_0, a_1, b_1, ... so each new vertex is
-    constrained by every chosen vertex of the other side.
+    constrained by every chosen vertex of the other side.  With
+    ``counters``, the nodes spent are added to ``counters["nodes"]``.
     """
     full = (1 << G.v) - 1
     nodes = 0
@@ -502,9 +507,13 @@ def semi_induced_order(
 
     best = 0
     t = 1
-    while t <= G.v and exists(t):
-        best = t
-        t += 1
+    try:
+        while t <= G.v and exists(t):
+            best = t
+            t += 1
+    finally:
+        if counters is not None:
+            counters["nodes"] += nodes
     return best
 
 

@@ -1,9 +1,12 @@
 """Shared fixtures: data paths, the CLI runner, and the kernel id.
 
-The orbit BFS has one kernel, the NumPy one.  Three of its tests, one
-case per group of the zoo, still request the ``kernel`` fixture only so
-that their ids keep the ``[numpy-<group>]`` form they carried when a
-second kernel existed, and stay comparable with earlier test records.
+The orbit search runs in plain Python on small state spaces and on the
+NumPy kernel above them.  The ``kernel`` fixture sends every count of
+a test to the NumPy kernel, whatever the size, so that the small groups
+of the zoo exercise it too.  Two tests request it,
+``test_all_tuple_orbits_match_brute`` and
+``test_tuples_visited_covers_the_state_space``; their ids keep the
+``[numpy-<group>]`` form and stay comparable with earlier test records.
 """
 from __future__ import annotations
 
@@ -14,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from growthlab import orbit_oracle
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -23,7 +28,8 @@ def data_dir() -> Path:
 
 
 @pytest.fixture(params=["numpy"])
-def kernel(request) -> str:
+def kernel(request, monkeypatch) -> str:
+    monkeypatch.setattr(orbit_oracle, "PYTHON_SEARCH_WORK", 0)
     return request.param
 
 

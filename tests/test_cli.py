@@ -129,6 +129,7 @@ def test_oracle_check_reports_bfs_levels_deterministically():
     assert a.stdout == b.stdout
     tel = json.loads(a.stdout)["telemetry"]
     assert int(tel["bfs_levels"]) > 0
+    assert int(tel["bfs_states"]) > 0
     assert int(tel["tuples_visited"]) > 0
 
 
@@ -287,6 +288,18 @@ def test_graphs_semiinduced(tmp_path):
     code, env = cli_json("graphs", "semiinduced", "--graph-file", str(gfile))
     assert code == 0
     assert rows_by_name(env, "semi_induced_order")[0]["value"] == "4"
+
+
+def test_graphs_semiinduced_reports_nodes_deterministically(tmp_path):
+    gfile = tmp_path / "h4.graph"
+    lines = ["v=8"] + [f"{i} {4 + j}" for i in range(4) for j in range(4) if i <= j]
+    gfile.write_text("\n".join(lines) + "\n")
+    args = ("graphs", "semiinduced", "--graph-file", str(gfile), "--deterministic")
+    a = run_cli(*args)
+    b = run_cli(*args)
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
+    assert int(json.loads(a.stdout)["telemetry"]["nodes"]) > 0
 
 
 def test_graphs_fliproundtrip_random():

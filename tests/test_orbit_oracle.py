@@ -1,6 +1,8 @@
 """Orbit counting by generator BFS, truncations, and the stabilizer bound."""
 from __future__ import annotations
 
+import resource
+import time
 from math import comb, factorial, perm
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from growthlab import CapacityError, DirectProduct, FinPermGroup, Finite, WreathSomega
 from growthlab import count_orbits_all, count_orbits_injective, parse_expr
-from growthlab import stabilizer_bound_check, truncate_expr
+from growthlab import orbit_oracle, stabilizer_bound_check, truncate_expr
 from growthlab.orbit_oracle import MAX_TRUNC_DEGREE, MAX_TUPLE_STATES
 
 import oracles
@@ -26,6 +28,16 @@ ZOO = {
     "a4": FinPermGroup(4, ((1, 2, 0, 3), (1, 0, 3, 2))),
     "s3xs2": FinPermGroup(5, ((1, 0, 2, 3, 4), (1, 2, 0, 3, 4), (0, 1, 2, 4, 3))),
 }
+
+
+def each_search(count, group, n, **kwargs):
+    """The count on the NumPy kernel and on the plain Python search."""
+    results = []
+    for work in (0, 1 << 62):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orbit_oracle, "PYTHON_SEARCH_WORK", work)
+            results.append(count(group, n, **kwargs))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +92,6 @@ def test_empty_tuple_has_one_orbit():
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-@pytest.mark.usefixtures("kernel")
 def test_injective_orbits_match_brute(name):
     g = ZOO[name]
     for n in range(6):
@@ -97,6 +108,17 @@ def test_all_tuple_orbits_match_brute(name):
         got = count_orbits_all(g, n).count
         want = oracles.brute_orbit_count(g.generators, g.degree, n, injective=False)
         assert got == want, (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_python_and_numpy_searches_agree(name):
+    g = ZOO[name]
+    for n in range(6):
+        for count in (count_orbits_injective, count_orbits_all):
+            on_numpy, on_python = (
+                (r.count, r.tuples_visited, r.states) for r in each_search(count, g, n)
+            )
+            assert on_numpy == on_python, (count.__name__, n)
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
@@ -147,10 +169,11 @@ def test_random_generators_match_brute(g, n, injective):
     # keep the brute-force oracle, |G| * d^n tuple images, small
     assume(len(oracles.group_closure(g.generators, g.degree)) * g.degree**n <= 100_000)
     count = count_orbits_injective if injective else count_orbits_all
-    r = count(g, n)
-    assert r.count == oracles.brute_orbit_count(g.generators, g.degree, n, injective=injective)
-    if n:
-        assert r.tuples_visited == (perm(g.degree, n) if injective else g.degree**n)
+    want = oracles.brute_orbit_count(g.generators, g.degree, n, injective=injective)
+    for r in each_search(count, g, n):
+        assert r.count == want
+        if n:
+            assert r.tuples_visited == (perm(g.degree, n) if injective else g.degree**n)
 
 
 def test_many_small_orbits_share_their_levels():
@@ -172,13 +195,18 @@ def test_telemetry_counts_visited_tuples():
 @pytest.mark.usefixtures("kernel")
 def test_tuples_visited_covers_the_state_space(name):
     # Every tuple of the counted kind lies in exactly one orbit, so the
-    # BFS marks each of them once: deg^n tuples in all, and the falling
-    # factorial deg (deg - 1) ... (deg - n + 1) of them injective.
+    # BFS settles each of them once: deg^n tuples in all, and the falling
+    # factorial deg (deg - 1) ... (deg - n + 1) of them injective.  It
+    # visits each set of n points, or multiset of n points, once.
     g = ZOO[name]
     for n in range(1, 6):
         falling = perm(g.degree, n)
-        assert count_orbits_injective(g, n).tuples_visited == falling, n
-        assert count_orbits_all(g, n).tuples_visited == g.degree**n, n
+        injective = count_orbits_injective(g, n)
+        assert injective.tuples_visited == falling, n
+        assert injective.states == comb(g.degree, n), n
+        every = count_orbits_all(g, n)
+        assert every.tuples_visited == g.degree**n, n
+        assert every.states == comb(g.degree + n - 1, n), n
 
 
 def test_bell_truncation_count_and_telemetry():
@@ -211,6 +239,24 @@ def test_tuple_budget_error_names_its_stage():
     message = str(err.value)
     assert message.startswith("tuple budget 50 exceeded after visiting ")
     assert message.endswith("(orbits on all 3-tuples of degree 6)")
+
+
+def test_small_budget_on_a_large_state_space_fails_fast():
+    # C(100, 4) sets: the first seed spends the budget of 5, before any
+    # state beyond it is touched
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        count_orbits_injective(FinPermGroup.trivial(100), 4, budget=5)
+    assert time.perf_counter() - start < 0.1
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 25 * 1024
+
+
+def test_all_tuples_of_many_positions():
+    # S2 swaps the two points of every tuple, so its 2^20 tuples of length
+    # 20 pair up; they lie on the 21 multisets of 20 points from 2
+    for r in each_search(count_orbits_all, FinPermGroup.symmetric(2), 20):
+        assert (r.count, r.tuples_visited, r.states) == (2**19, 2**20, 21)
 
 
 def test_state_space_cap():
@@ -290,6 +336,20 @@ def test_stabilizer_bound_holds(name):
 def test_stabilizer_bound_rejects_bad_point():
     with pytest.raises(ValueError):
         stabilizer_bound_check(FinPermGroup.symmetric(3), 7, 1)
+
+
+def test_stabilizer_bound_keeps_few_generators(monkeypatch):
+    # the stabilizer of a point in S7 has 720 elements; the check passes
+    # only those that enlarge the group generated so far
+    sizes = []
+
+    def spy(group, n, **kwargs):
+        sizes.append(len(group.generators))
+        return count_orbits_injective(group, n, **kwargs)
+
+    monkeypatch.setattr(orbit_oracle, "count_orbits_injective", spy)
+    assert stabilizer_bound_check(FinPermGroup.symmetric(7), 0, 4)
+    assert 0 < sizes[0] <= 10
 
 
 def test_stabilizer_bound_element_budget():
