@@ -225,7 +225,8 @@ def labelled_path_count(k: int) -> int:
 
 class _Budget:
     """Backtracking and enumeration nodes spent against one limit, which
-    bounds a whole count or membership test in time and in memory."""
+    bounds a whole count, membership test or semi-induced search in time
+    and in memory.  ``what`` names the stage in the CapacityError."""
 
     def __init__(self, limit: int, what: str):
         self.limit = limit
@@ -457,19 +458,23 @@ def semi_induced_order(
     is always distinct within itself.
 
     Backtracking chooses a_0, b_0, a_1, b_1, ... so each new vertex is
-    constrained by every chosen vertex of the other side.  With
-    ``counters``, the nodes spent are added to ``counters["nodes"]``.
+    constrained by every chosen vertex of the other side.  A failing t
+    is exhausted or ruled out by the counting bound: the t - i distinct
+    vertices a_i..a_{t-1} (likewise b_i..b_{t-1}) all lie in the
+    candidate set of a_i, since the constraints only grow, so a node
+    whose candidate set is smaller fails at once.  Every node spends
+    one of ``node_budget`` over all t, and running out raises
+    CapacityError naming the t being searched.  With ``counters``, the
+    nodes spent are added to ``counters["nodes"]``.
     """
     full = (1 << G.v) - 1
-    nodes = 0
+    budget = _Budget(node_budget, "semi-induced order")
 
     def exists(t: int) -> bool:
-        nonlocal nodes
         a_img = [0] * t
         b_img = [0] * t
 
         def rec(pos: int, used_a: int, used_b: int) -> bool:
-            nonlocal nodes
             if pos == 2 * t:
                 return True
             side_a = pos % 2 == 0
@@ -486,13 +491,13 @@ def semi_induced_order(
                     cand &= ~used_a
                 for j in range(i + 1):
                     cand &= G.adj[a_img[j]]
+            if cand.bit_count() < t - i:
+                return False
             while cand:
                 low = cand & -cand
                 cand ^= low
                 w = low.bit_length() - 1
-                nodes += 1
-                if nodes > node_budget:
-                    raise CapacityError(f"semi-induced node budget {node_budget} exceeded")
+                budget.spend(1)
                 if side_a:
                     a_img[i] = w
                     if rec(pos + 1, used_a | low, used_b):
@@ -503,6 +508,7 @@ def semi_induced_order(
                         return True
             return False
 
+        budget.what = f"semi-induced order t = {t}"
         return rec(0, 0, 0)
 
     best = 0
@@ -513,7 +519,7 @@ def semi_induced_order(
             t += 1
     finally:
         if counters is not None:
-            counters["nodes"] += nodes
+            counters["nodes"] += budget.spent
     return best
 
 

@@ -7,12 +7,13 @@ of k-tuple sequences x_1..x_m and y_1..y_m together with m^2 distinct
 points z_ij such that, restricted to Z = {z_ij}, the fiber over
 (x_i, y_j) is exactly {z_ij}.
 
-Searches are exact backtracking with a node budget; results are
-three-valued so an exhausted budget is reported as indeterminate
-rather than as absence.  One coding search serves every side width k
-(k = 1 for ternary relations): it holds sides as indices into the
-sorted distinct k-tuple projections, and fibers and private sets as
-bitsets over the universe.  The verifiers test raw tuple membership
+Searches are exact backtracking with a node budget and a counting
+look-ahead at every node; results are three-valued so an exhausted
+budget is reported as indeterminate rather than as absence.  One
+coding search serves every side width k (k = 1 for ternary
+relations): it holds sides as indices into the sorted distinct
+k-tuple projections, and fibers and private sets as bitsets over the
+universe.  The verifiers test raw tuple membership
 and share no machinery with the searchers.
 """
 
@@ -125,8 +126,9 @@ Witness = Union[OrderWitness, CodingWitness]
 class SearchResult:
     """Outcome of a witness search.
 
-    status is found, none, or indeterminate; the last means the node
-    budget ran out before the search space was exhausted.  nodes is the
+    status is found, none, or indeterminate.  none means the search
+    space was exhausted or ruled out by the counting bound;
+    indeterminate means the node budget ran out first.  nodes is the
     number of candidate placements tried.
     """
 
@@ -190,6 +192,12 @@ def find_order_witness(
     placement order.  Distinctness inside each side needs no explicit
     check: a repeated point would have to be on both sides of one
     membership constraint.
+
+    ``none`` means the space was exhausted or ruled out by the counting
+    bound: the n - i distinct points a_i..a_{n-1} lie in the candidate
+    set of a_i, and b_{i+1}..b_{n-1} lie in the intersection of
+    row[a_j] over j <= i, so a node where either set is too small fails
+    at once.
     """
     if rel.arity != 2:
         raise ValueError(f"order witnesses need a binary relation, got arity {rel.arity}")
@@ -214,10 +222,15 @@ def find_order_witness(
             cand = full
             for j in range(i):
                 cand &= full & ~col[b_img[j]]
+            if cand.bit_count() < n - i:
+                return False
         else:
-            cand = full & ~row[a_img[i]]
+            common = full
             for j in range(i):
-                cand &= row[a_img[j]]
+                common &= row[a_img[j]]
+            if (common & row[a_img[i]]).bit_count() < n - i - 1:
+                return False
+            cand = common & ~row[a_img[i]]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -265,6 +278,14 @@ def find_coding_witness(
     rows and columns, so this loses nothing) and prunes on an empty
     private set.  Fibers, keyed by pairs of pool indices, and private
     sets are bitsets over the universe.
+
+    ``none`` means the space was exhausted or ruled out by the counting
+    bound: the cells still to come need pairwise distinct private
+    points outside every placed fiber, so a node fails at once when
+    fewer than m^2 - (cells placed) points of the union of all fibers
+    are left uncovered.  With fewer than m^2 points in that union the
+    search answers at 0 nodes.  Each side loop also stops where too few
+    pool entries remain for the rest of its increasing side.
     """
     if k < 1:
         raise ValueError("side width must be at least 1")
@@ -279,9 +300,11 @@ def find_coding_witness(
     x_index = {x: i for i, x in enumerate(xs_pool)}
     y_index = {y: i for i, y in enumerate(ys_pool)}
     fiber: dict[tuple[int, int], int] = {}
+    zall = 0  # the union of all fibers
     for t in rel.tuples:
         key = x_index[t[:k]], y_index[t[k : 2 * k]]
         fiber[key] = fiber.get(key, 0) | 1 << t[2 * k]
+        zall |= 1 << t[2 * k]
     x_img = [0] * m
     y_img = [0] * m
     nodes = 0
@@ -290,11 +313,14 @@ def find_coding_witness(
         nonlocal nodes
         if pos == 2 * m:
             return privates
+        if (zall & ~covered).bit_count() < m * m - len(privates):
+            return None
         on_x = pos % 2 == 0
         idx = pos // 2
         img = x_img if on_x else y_img
         first = img[idx - 1] + 1 if idx > 0 else 0
-        for v in range(first, len(xs_pool if on_x else ys_pool)):
+        last = len(xs_pool if on_x else ys_pool) - (m - 1 - idx)
+        for v in range(first, last):
             nodes += 1
             if nodes > node_budget:
                 raise _BudgetHit

@@ -294,3 +294,32 @@ def brute_coding_witness_exists(universe: int, tuples, m: int, k: int = 1) -> bo
                 ):
                     return True
     return False
+
+
+def brute_semi_induced_order(v: int, adj: list[set[int]], lax: bool) -> int:
+    """Largest t with sequences a_0..a_{t-1} and b_0..b_{t-1}, each
+    injective within its side, such that b_j is adjacent to a_i exactly
+    when i <= j.  Strict mode also makes the two sides disjoint.  Every
+    injective a is tried, with every b whose entry b_j matches column j
+    of the pattern on its own; t grows until none fits, since a
+    half-graph of order t contains one of order t - 1."""
+
+    def fits(t: int) -> bool:
+        for a in permutations(range(v), t):
+            columns = [
+                [
+                    w
+                    for w in range(v)
+                    if (lax or w not in a)
+                    and all((w in adj[a[i]]) == (i <= j) for i in range(t))
+                ]
+                for j in range(t)
+            ]
+            if any(len(set(b)) == t for b in product(*columns)):
+                return True
+        return False
+
+    t = 0
+    while t < v and fits(t + 1):
+        t += 1
+    return t

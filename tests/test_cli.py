@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 
 import pytest
 
@@ -281,25 +282,37 @@ def test_graphs_count_reports_nodes():
     assert int(env["telemetry"]["nodes"]) > 0
 
 
-def test_graphs_semiinduced(tmp_path):
+def half_graph_4_file(tmp_path):
     gfile = tmp_path / "h4.graph"
     lines = ["v=8"] + [f"{i} {4 + j}" for i in range(4) for j in range(4) if i <= j]
     gfile.write_text("\n".join(lines) + "\n")
+    return gfile
+
+
+def test_graphs_semiinduced(tmp_path):
+    gfile = half_graph_4_file(tmp_path)
     code, env = cli_json("graphs", "semiinduced", "--graph-file", str(gfile))
     assert code == 0
     assert rows_by_name(env, "semi_induced_order")[0]["value"] == "4"
 
 
 def test_graphs_semiinduced_reports_nodes_deterministically(tmp_path):
-    gfile = tmp_path / "h4.graph"
-    lines = ["v=8"] + [f"{i} {4 + j}" for i in range(4) for j in range(4) if i <= j]
-    gfile.write_text("\n".join(lines) + "\n")
+    gfile = half_graph_4_file(tmp_path)
     args = ("graphs", "semiinduced", "--graph-file", str(gfile), "--deterministic")
     a = run_cli(*args)
     b = run_cli(*args)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert int(json.loads(a.stdout)["telemetry"]["nodes"]) > 0
+
+
+def test_graphs_semiinduced_capacity_names_the_stage(tmp_path):
+    gfile = half_graph_4_file(tmp_path)
+    code, env = cli_json(
+        "graphs", "semiinduced", "--graph-file", str(gfile), "--budget-nodes", "2"
+    )
+    assert code == 3
+    assert env["telemetry"]["capacity"] == "semi-induced order t = 2: node budget 2 exceeded"
 
 
 def test_graphs_fliproundtrip_random():
@@ -341,6 +354,29 @@ def test_witness_coding_found():
 def test_witness_coding_none_on_empty():
     proc = run_cli("witness", "coding", EMPTY64, "--size", "1")
     assert proc.returncode == 1
+
+
+def test_witness_coding_too_few_points_is_none_at_zero_nodes(tmp_path):
+    # the third coordinate takes 15 < 4^2 values, so no 4 x 4 grid has
+    # enough private points and the counting bound answers before any node
+    rng = random.Random(15)
+    lines = ["a=24 r=3"] + [
+        f"{x} {y} {z}"
+        for x in range(24)
+        for y in range(24)
+        for z in range(15)
+        if rng.random() < 0.3
+    ]
+    rel = tmp_path / "fifteen.rel"
+    rel.write_text("\n".join(lines) + "\n")
+    args = ("witness", "coding", str(rel), "--size", "4", "--deterministic")
+    a = run_cli(*args)
+    b = run_cli(*args)
+    assert a.returncode == b.returncode == 1
+    assert a.stdout == b.stdout
+    env = json.loads(a.stdout)
+    assert rows_by_name(env, "search")[0]["verdict"] == "none"
+    assert env["telemetry"]["nodes"] == "0"
 
 
 def test_witness_indeterminate_exit():

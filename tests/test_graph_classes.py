@@ -285,8 +285,24 @@ def test_semi_induced_lax_at_least_strict(g):
 
 
 def test_semi_induced_node_budget():
-    with pytest.raises(CapacityError):
+    # t = 1 spends the two nodes a_0, b_0; t = 2 runs out at its first
+    with pytest.raises(CapacityError, match=r"^semi-induced order t = 2: node budget 2 exceeded$"):
         semi_induced_order(half_graph(5), node_budget=2)
+
+
+@given(small_graphs(max_v=7), st.booleans())
+@settings(deadline=None, max_examples=80)
+def test_semi_induced_matches_brute(g, lax):
+    want = oracles.brute_semi_induced_order(g.v, edge_sets(g), lax)
+    assert semi_induced_order(g, lax=lax) == want
+
+
+def test_semi_induced_half_graph_11_node_ceiling():
+    # without the counting bound the search spent 434,266 nodes here,
+    # all of them proving that t = 12 fails
+    counters = {"nodes": 0}
+    assert semi_induced_order(half_graph(11), counters=counters) == 11
+    assert counters["nodes"] <= 300
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +263,119 @@ def test_tuple_coding_rejects_incompatible_arity():
 def test_tuple_coding_none_on_empty():
     rel = FinRelation(3, 5, frozenset())
     assert find_coding_witness(rel, 1, 2).status == STATUS_NONE
+
+
+# ---------------------------------------------------------------------------
+# Pinned witnesses and node ceilings on seeded relations
+
+
+def random_relation(seed: int, universe: int, arity: int, density: float) -> FinRelation:
+    rng = random.Random(seed)
+    tuples = itertools.product(range(universe), repeat=arity)
+    return FinRelation(universe, arity, frozenset(t for t in tuples if rng.random() < density))
+
+
+def planted_coding(seed: int, universe: int, m: int, density: float) -> FinRelation:
+    """A ternary relation holding a planted m x m coding witness; the
+    other triples are present with the given density, except those that
+    would put a planted point into another cell's fiber."""
+    rng = random.Random(seed)
+    points = rng.sample(range(universe), 2 * m + m * m)
+    xs, ys, zs = points[:m], points[m : 2 * m], points[2 * m :]
+    cell = {(x, y): zs[i * m + j] for i, x in enumerate(xs) for j, y in enumerate(ys)}
+    tuples = set()
+    for x, y, z in itertools.product(range(universe), repeat=3):
+        if (x, y) in cell and z in zs:
+            keep = z == cell[x, y]
+        else:
+            keep = rng.random() < density
+        if keep:
+            tuples.add((x, y, z))
+    return FinRelation(universe, 3, frozenset(tuples))
+
+
+def few_points(seed: int, universe: int, z_values: int, density: float) -> FinRelation:
+    """A ternary relation whose third coordinate takes z_values values."""
+    rng = random.Random(seed)
+    zs = rng.sample(range(universe), z_values)
+    tuples = itertools.product(range(universe), range(universe), zs)
+    return FinRelation(universe, 3, frozenset(t for t in tuples if rng.random() < density))
+
+
+# (seed, universe, density, n, witness or None, nodes of the search
+# without the counting bound); every witness is the lexicographically
+# least one, so pruning must leave it in place
+ORDER_PINS = [
+    (1, 14, 0.5, 3, ((0, 1, 11), (1, 3, 5)), 8),
+    (2, 14, 0.5, 4, ((0, 4, 1, 6), (0, 2, 13, 7)), 41),
+    (3, 16, 0.6, 5, ((0, 3, 7, 1, 11), (10, 6, 13, 0, 11)), 1368),
+    (4, 12, 0.5, 5, ((0, 4, 3, 6, 1), (6, 3, 4, 5, 9)), 215),
+    (5, 24, 0.5, 6, ((0, 8, 1, 13, 15, 12), (0, 23, 6, 12, 17, 18)), 1026),
+    (6, 24, 0.5, 8, ((2, 21, 5, 3, 16, 11, 15, 13), (18, 13, 21, 7, 16, 19, 1, 10)), 639589),
+    (7, 24, 0.6, 8, None, 1385692),
+]
+
+
+@pytest.mark.parametrize("seed, universe, density, n, want, unpruned", ORDER_PINS)
+def test_order_witness_pinned(seed, universe, density, n, want, unpruned):
+    r = find_order_witness(random_relation(seed, universe, 2, density), n)
+    if want is None:
+        assert r.status == STATUS_NONE
+    else:
+        assert r.status == STATUS_FOUND
+        assert (r.witness.a_seq, r.witness.b_seq) == want
+    assert r.nodes <= unpruned
+
+
+# (relation, m, (x side, y side, table) or None, unpruned nodes)
+CODING_PINS = [
+    (planted_coding(11, 12, 2, 0.1), 2, ((0, 1), (0, 2), ((4, 11), (1, 8))), 5),
+    (
+        planted_coding(12, 16, 3, 0.1), 3,
+        ((0, 6, 12), (0, 2, 15), ((13, 3, 0), (2, 5, 1), (4, 11, 15))), 94,
+    ),
+    (
+        planted_coding(13, 24, 4, 0.05), 4,
+        (
+            (3, 5, 20, 21), (3, 19, 20, 22),
+            ((6, 22, 5, 20), (14, 12, 17, 7), (18, 2, 15, 11), (4, 16, 10, 19)),
+        ),
+        99472,
+    ),
+    (random_relation(21, 6, 3, 0.2), 2, ((0, 2), (1, 5), ((4, 0), (2, 5))), 19),
+    (random_relation(22, 8, 3, 0.1), 2, ((0, 4), (0, 2), ((2, 1), (4, 3))), 22),
+    (random_relation(23, 8, 3, 0.05), 3, None, 153),
+]
+
+
+@pytest.mark.parametrize("rel, m, want, unpruned", CODING_PINS)
+def test_coding_witness_pinned(rel, m, want, unpruned):
+    r = find_coding_witness(rel, m)
+    if want is None:
+        assert r.status == STATUS_NONE
+    else:
+        assert r.status == STATUS_FOUND
+        x_side, y_side, table = want
+        assert r.witness.x_side == tuple((x,) for x in x_side)
+        assert r.witness.y_side == tuple((y,) for y in y_side)
+        assert r.witness.table == table
+    assert r.nodes <= unpruned
+
+
+def test_coding_too_few_points_answers_at_zero_nodes():
+    # 15 < 4^2 distinct third coordinates: the unpruned search spent
+    # 381,328 nodes on this relation
+    r = find_coding_witness(few_points(41, 24, 15, 0.3), 4)
+    assert r.status == STATUS_NONE
+    assert r.nodes == 0
+
+
+def test_coding_exactly_m_squared_points_node_ceiling():
+    # exactly 16 = 4^2 third coordinates and no witness: the unpruned
+    # search spent 432,284 nodes, the counting bound about 570
+    r = find_coding_witness(few_points(31, 24, 16, 0.3), 4)
+    assert r.status == STATUS_NONE
+    assert r.nodes <= 2000
 
 
 # ---------------------------------------------------------------------------
