@@ -10,17 +10,20 @@ arithmetic; no verdict ever depends on floating point.
 Sequences are 0-indexed with value 1 at index 0 for any growth sequence
 of a non-empty structure (one empty-tuple orbit).  A named sequence is
 a function of a prefix length: ``bell(n_max)`` returns the IntSeq
-B_0..B_{n_max}.  Triangles (Bell, Stirling of either kind) are built
-row by row from the one above, and only the current row is kept; the
-module holds no state between calls.
+B_0..B_{n_max}.  Triangles (Bell, Pascal, signed Stirling of the
+first kind) are built row by row from the one above with C-level
+``map`` and ``accumulate`` passes, and only the current row is kept; no
+term computes a binomial coefficient on its own.  The Stirling
+transform needs no triangle at all: it applies a difference operator
+to the sequence.  The module holds no state between calls.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, count, repeat
+from operator import add, index, mul, sub
 from typing import Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -43,7 +46,7 @@ class IntSeq:
 
     def __post_init__(self):
         try:
-            vals = tuple(operator.index(v) for v in self.values)
+            vals = tuple(index(v) for v in self.values)
         except TypeError as exc:
             raise ValueError(f"IntSeq values must be integers: {exc}") from None
         if not vals:
@@ -108,10 +111,7 @@ def bell(n_max: int) -> IntSeq:
     row = [1]
     vals = [1]
     for _ in range(n_max):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
+        row = list(accumulate(row, initial=row[-1]))
         vals.append(row[0])
     return IntSeq(tuple(vals))
 
@@ -130,15 +130,22 @@ def stirling_transform(l: IntSeq) -> IntSeq:
 
     Applied to the injective-tuple growth sequence of a structure this
     yields its all-tuples growth sequence: every n-tuple factors through
-    the partition of positions by coordinate equality.  Row n of the
-    Stirling numbers of the second kind comes from row n - 1 by
-    S(n, k) = k * S(n-1, k) + S(n-1, k-1).
+    the partition of positions by coordinate equality.
+
+    No Stirling number is formed.  With (D u)_k = k * u_k + u_{k+1},
+    s_n = (D^n l)_0, since by S(n+1, j) = j * S(n, j) + S(n, j-1)
+
+        sum_j S(n, j) (D u)_j = sum_j u_j (j S(n, j) + S(n, j-1))
+                              = sum_j S(n+1, j) u_j,
+
+    and S(0, j) is 1 at j = 0 only.  Each step shortens u by one entry
+    and multiplies big integers only by the small index k.
     """
-    row = [1]
-    vals = [l[0]]
-    for n in range(1, len(l)):
-        row = [0] + [k * row[k] + row[k - 1] for k in range(1, n)] + [1]
-        vals.append(sum(map(operator.mul, row, l.values)))
+    u = list(l.values)
+    vals = [u[0]]
+    for _ in range(1, len(u)):
+        u = list(map(add, map(mul, u, count()), u[1:]))
+        vals.append(u[0])
     label = f"stirling_transform({l.label})" if l.label else ""
     return IntSeq(tuple(vals), label)
 
@@ -148,16 +155,18 @@ def binomial_convolution(a: IntSeq, b: IntSeq) -> IntSeq:
 
     The injective-tuple growth sequence of a direct product: an n-tuple
     splits its positions between the two factors.  Both prefixes must
-    have the same length.
+    have the same length.  The binomials come from one running Pascal
+    row, C(n, k) for k <= n.
     """
     if len(a) != len(b):
         raise ValueError(f"prefix lengths differ: {len(a)} vs {len(b)}")
-    return IntSeq(
-        tuple(
-            sum(math.comb(n, k) * a[k] * b[n - k] for k in range(n + 1))
-            for n in range(len(a))
-        )
-    )
+    av, bv = a.values, b.values
+    row = [1]
+    vals = [av[0] * bv[0]]
+    for n in range(1, len(av)):
+        row = [1, *map(add, row[1:], row[:-1]), 1]
+        vals.append(sum(map(mul, map(mul, row, av), reversed(bv[: n + 1]))))
+    return IntSeq(tuple(vals))
 
 
 def exp_shift(a: IntSeq) -> IntSeq:
@@ -167,15 +176,23 @@ def exp_shift(a: IntSeq) -> IntSeq:
     The injective-tuple growth sequence of e wr S_omega from that of e:
     the positions that share a copy with the first one are k in number,
     chosen in C(n-1, k-1) ways, and their orbits are those of e on
-    k-tuples.  Needs a_0 = 1.  Terms with a_k = 0 are skipped, so over a
-    finite leaf each b_n costs time linear in the leaf's degree.
+    k-tuples.  Needs a_0 = 1.  With top the last k with a_k != 0, the
+    binomials come from one running Pascal row C(n-1, j), j < min(n, top),
+    so over a finite leaf each b_n costs time linear in the leaf's degree.
     """
     if a[0] != 1:
         raise ValueError(f"exp_shift needs a_0 = 1, got {a[0]}")
-    terms = [(k, a_k) for k, a_k in enumerate(a) if k and a_k]
+    top = max(k for k, a_k in enumerate(a) if a_k)
+    coef = a.values[1 : top + 1]
+    row = [1]
     b = [1]
     for n in range(1, len(a)):
-        b.append(sum(math.comb(n - 1, k - 1) * a_k * b[n - k] for k, a_k in terms if k <= n))
+        if n > 1:
+            row = [1, *map(add, row[1:], row[:-1])]
+            if n <= top:
+                row.append(1)
+        m = min(n, top)
+        b.append(sum(map(mul, map(mul, row, coef), reversed(b[n - m : n]))))
     return IntSeq(tuple(b))
 
 
@@ -229,10 +246,15 @@ def _check_factorial_upper(seq: IntSeq, c: Rational) -> BoundReport:
     cf = _as_fraction(c, "c")
     num, den = cf.numerator, cf.denominator
     top = seq.last_index
-    # l_n <= n!/c^n  iff  l_n * num^n <= n! * den^n
+    # l_n <= n!/c^n  iff  l_n * num^n <= n! * den^n; num^n and n! * den^n
+    # are carried from one index to the next
     last_violation = -1
+    num_n = fact_den_n = 1
     for n in range(top + 1):
-        if seq[n] * num**n > math.factorial(n) * den**n:
+        if n:
+            num_n *= num
+            fact_den_n *= n * den
+        if seq[n] * num_n > fact_den_n:
             last_violation = n
     if last_violation == top:
         return BoundReport(KIND_FACTORIAL_UPPER, False, (0, top), c=cf, first_fail=top)
@@ -299,6 +321,6 @@ def meet_trivial_pairs(n_max: int) -> IntSeq:
     row = [1]
     vals = [1]
     for n in range(1, n_max + 1):
-        row = [0] + [row[k - 1] - (n - 1) * row[k] for k in range(1, n)] + [1]
-        vals.append(sum(map(operator.mul, row, squares)))
+        row = [0, *map(sub, row, map(mul, row[1:], repeat(n - 1))), 1]
+        vals.append(sum(map(mul, row, squares)))
     return IntSeq(tuple(vals))

@@ -11,8 +11,10 @@ are right).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial
+from typing import Iterator
 
 # first values of the partition count (number of set partitions of [n])
 BELL = (
@@ -34,17 +36,25 @@ MEET_TRIVIAL = (1, 1, 3, 15, 113, 1153, 15125, 245829, 4815403)
 INVOLUTIONS = (1, 1, 2, 4, 10, 26, 76, 232)
 
 
+def iter_partitions(n: int) -> Iterator[list[frozenset[int]]]:
+    """Every set partition of {0..n-1} once, by inserting points one at a
+    time: point x joins each block of a partition of {0..x-1} in turn, or
+    opens a block of its own.  Depth first, so memory stays linear in n."""
+
+    def grow(part: list[frozenset[int]], x: int) -> Iterator[list[frozenset[int]]]:
+        if x == n:
+            yield part
+            return
+        for i in range(len(part)):
+            yield from grow(part[:i] + [part[i] | {x}] + part[i + 1 :], x + 1)
+        yield from grow(part + [frozenset([x])], x + 1)
+
+    return grow([], 0)
+
+
 def brute_partitions(n: int) -> list[list[frozenset[int]]]:
-    """All set partitions of {0..n-1}, by inserting points one at a time."""
-    parts: list[list[frozenset[int]]] = [[]]
-    for x in range(n):
-        nxt = []
-        for part in parts:
-            for i in range(len(part)):
-                nxt.append(part[:i] + [part[i] | {x}] + part[i + 1 :])
-            nxt.append(part + [frozenset([x])])
-        parts = nxt
-    return parts
+    """All set partitions of {0..n-1}."""
+    return list(iter_partitions(n))
 
 
 def brute_bell(n: int) -> int:
@@ -132,6 +142,20 @@ def involutions_by_recurrence(n: int) -> list[int]:
     return a[: n + 1]
 
 
+def convolution_by_comb(a, b) -> list[int]:
+    """c_n = sum_k C(n, k) * a_k * b_{n-k}, each binomial from math.comb."""
+    return [sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1)) for n in range(len(a))]
+
+
+def exp_shift_by_comb(a) -> list[int]:
+    """b_0 = 1, b_n = sum_{k=1}^{n} C(n-1, k-1) * a_k * b_{n-k}, each
+    binomial from math.comb."""
+    b = [1]
+    for n in range(1, len(a)):
+        b.append(sum(comb(n - 1, k - 1) * a[k] * b[n - k] for k in range(1, n + 1)))
+    return b
+
+
 def brute_exp_shift(a) -> list[Fraction]:
     """The sequence whose EGF is exp(f - 1), f the EGF of a (a_0 = 1),
     by series composition: the partial sums of sum_k (f - 1)^k / k!,
@@ -208,7 +232,17 @@ def brute_orbit_count(gens, degree: int, n: int, injective: bool) -> int:
 
 
 def brute_stirling2(n: int, k: int) -> int:
-    return sum(len(p) == k for p in brute_partitions(n))
+    """Partitions of {0..n-1} into k blocks, counted once per n for every k."""
+    row = _blocks_histogram(n)
+    return row[k] if k < len(row) else 0
+
+
+@lru_cache(maxsize=None)
+def _blocks_histogram(n: int) -> tuple[int, ...]:
+    row = [0] * (n + 1)
+    for part in iter_partitions(n):
+        row[len(part)] += 1
+    return tuple(row)
 
 
 def brute_embeds(pat: list[set[int]], host: list[set[int]]) -> bool:

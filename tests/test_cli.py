@@ -147,6 +147,17 @@ def test_bounds_msnc_passes_at_50():
     assert fact[0]["n0"] == "35"
 
 
+def test_bounds_e_rel_to_350_pins_both_n0():
+    code, env = cli_json("bounds", E_REL, "--max-n", "350", "--grid", "2,3", "--deterministic")
+    assert code == 0
+    assert env["results"] == [
+        {"name": "classification", "verdict": "msnc"},
+        {"name": "bell-lower", "verdict": "pass", "verified_range": ["1", "350"]},
+        {"c": "2", "n0": "35", "name": "factorial-upper", "verdict": "pass", "verified_range": ["0", "350"]},
+        {"c": "3", "n0": "167", "name": "factorial-upper", "verdict": "pass", "verified_range": ["0", "350"]},
+    ]
+
+
 def test_bounds_msnc_fails_at_20():
     proc = run_cli("bounds", E_REL, "--max-n", "20")
     assert proc.returncode == 1

@@ -9,14 +9,28 @@ from __future__ import annotations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import IntSeq, bell, binomial_convolution, exp_shift
 
 import oracles
+from conftest import DATA
 
 seqs = st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=10)
+
+# entries up to 10^30, often zero
+big_entries = st.one_of(st.just(0), st.integers(min_value=0, max_value=10**30))
+
+
+@st.composite
+def zero_tailed(draw, size: int) -> list[int]:
+    """A prefix of the given length whose entries past a random support
+    are zero, like the sequence of a finite leaf; exp_shift cuts its
+    Pascal row at the last non-zero entry for the later terms."""
+    support = draw(st.integers(min_value=0, max_value=size))
+    head = draw(st.lists(big_entries, min_size=support, max_size=support))
+    return head + [0] * (size - support)
 
 
 def _ones(n_max: int) -> IntSeq:
@@ -92,3 +106,36 @@ def test_wreath_requires_inner_constant_one():
 
 def test_wreath_nested_exp_gives_second_order_bell_sequence():
     assert list(exp_shift(exp_shift(_ones(10)))) == list(oracles.REFINEMENT_PAIRS[:11])
+
+
+# ---------------------------------------------------------------------------
+# The running Pascal row against per-term binomials, on long prefixes with
+# big entries: the row grows while n <= top and is cut at top afterwards
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=80).flatmap(lambda n: st.tuples(zero_tailed(n), zero_tailed(n))))
+def test_product_matches_convolution_by_comb(pair):
+    a, b = pair
+    assert list(binomial_convolution(IntSeq(tuple(a)), IntSeq(tuple(b)))) == oracles.convolution_by_comb(a, b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=79).flatmap(zero_tailed))
+def test_exp_shift_matches_exp_shift_by_comb(tail):
+    a = (1, *tail)
+    assert list(exp_shift(IntSeq(a))) == oracles.exp_shift_by_comb(a)
+
+
+def test_exp_shift_twice_matches_every_b000258_entry():
+    bfile = {}
+    for line in (DATA / "b000258.txt").read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            n, value = line.split()
+            bfile[int(n)] = int(value)
+    got = exp_shift(exp_shift(_ones(max(bfile))))
+    assert {n: got[n] for n in bfile} == bfile
+
+
+def test_exp_shift_of_ones_is_bell_to_400():
+    assert list(exp_shift(_ones(400))) == [oracles.bell_by_triangle(n) for n in range(401)]

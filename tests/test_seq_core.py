@@ -147,6 +147,21 @@ def test_stirling_transform_definition(l):
         )
 
 
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=10**30)),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_stirling_transform_matches_brute_on_big_entries(l):
+    s = stirling_transform(IntSeq(tuple(l)))
+    assert list(s) == [
+        sum(oracles.brute_stirling2(n, k) * l[k] for k in range(n + 1)) for n in range(len(l))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Meet-trivial partition pairs
 
