@@ -154,8 +154,8 @@ def _cmd_seq(args, rows, tel, config) -> int:
         rows.append({"name": "s", "n": n, "value": sseq[n]})
     code = EXIT_OK
     if args.oracle_check:
-        tel["bfs_levels"] = 0
-        tel["bfs_states"] = 0
+        tel["oracle_nodes"] = 0
+        tel["oracle_sifted"] = 0
         top = min(args.max_n, ORACLE_CHECK_MAX_N)
         if args.trunc_m is not None:
             if args.trunc_m < 1:
@@ -167,8 +167,8 @@ def _cmd_seq(args, rows, tel, config) -> int:
                 group = truncate_expr(expr, m)
                 oc = count_orbits_injective(group, n, budget=args.budget_tuples)
                 tel["tuples_visited"] += oc.tuples_visited
-                tel["bfs_levels"] += oc.levels
-                tel["bfs_states"] += oc.states
+                tel["oracle_nodes"] += oc.nodes
+                tel["oracle_sifted"] += oc.sifted
                 ok = oc.count == lseq[n]
                 rows.append(
                     {

@@ -1,66 +1,58 @@
-"""Orbit counting for finite permutation groups, by search.
+"""Orbit counting for finite permutation groups, by stabilizer descent.
 
 Ground truth for the growth-sequence calculus: the orbits of a generated
-group on injective n-tuples, or on all n-tuples, are counted by a search
-along generator applications.  It shares no formula with the sequence
-calculus: it reads the group only through its generators, and counts
-with one fact about orbits (Cameron, Oligomorphic Permutation Groups,
-1990), stated below.
+group G on injective n-tuples, or on all n-tuples, are counted from its
+generators alone.  The count shares no formula with the sequence
+calculus.  It rests on one fact about orbits (Cameron, Oligomorphic
+Permutation Groups, 1990): two tuples that start with the same point x
+lie in one orbit of G if and only if their tails lie in one orbit of
+the stabilizer G_x.  So the orbits of G on n-tuples are, over the orbits
+of G on points, one point x from each, the orbits of G_x on (n - 1)-tuples
+of the other points, or of all points for counts of all tuples.
 
-States.  The state of a tuple is the set of its points, or for counts
-of all tuples the multiset.  The group permutes states.  Let a state X
-have s distinct points with multiplicities mu_1..mu_s, and let K be the
-group that the stabilizer of X induces on those points.  The
-n! / prod mu_i! tuples over X then fall into (n! / prod mu_i!) / |K|
-orbits, because only the identity of K fixes such a tuple, and each
-orbit of states adds that many orbits of tuples.  So the search visits
-the C(d, n) sets or C(d + n - 1, n) multisets of a domain of size d,
-not its d^n tuples.  The MAX_TUPLE_STATES cap applies to d^n, the
-number of tuples, and under it s <= min(n, d) <= 8.
+Descent.  A node holds the pointwise stabilizer H of a tuple prefix, by
+generators, and the free points: those outside the prefix, or all points
+for counts of all tuples (H fixes the prefix, so its points are then
+fixed points of H).  The node finds the orbits of H on the free points.
+Each orbit O is one child, whose prefix takes the first point x of O and
+whose weight, the number of prefixes it stands for, is the parent's
+times |O|.  Along the generator edges of O (its Schreier tree) the node
+builds, for every y in O, an element u_y that maps x to y.  By Schreier's
+lemma the elements u_y s u_{s(y)}^-1 (applied left to right), over y in
+O and generators s of H, generate H_x.  Sims' filter (Sims, Computational
+methods in the study of permutation groups, 1970; Seress, Permutation
+Group Algorithms, 2003) keeps at most one of them per pair of first
+moved point i and its image: an element whose pair is taken is divided
+by the kept one, which leaves it fixing i and every point before i,
+until it is new or the identity.  So a node has at most d (d - 1) / 2
+generators on d points.  There is no array per state: each level of the
+descent holds its generators and, while it builds a child, one
+transversal of at most d elements, all permutations of the d points.
 
-Frames and Schreier elements.  A search starts from a seed state and
-numbers its distinct points 0..s-1.  Every state it reaches keeps its
-frame, the ordering of its points in which the seed's numbering first
-arrived there.  When a generator maps a reached state onto another
-reached state, the ordering it brings and the stored frame differ by an
-element of K, a Schreier element; over all generator edges of the
-orbit these generate K (Schreier's lemma), and |K| comes from closing
-them in Sym(s), at most 8! elements.
+Three rules keep the work small.  At the last position a node only
+counts the orbits.  A trivial H closes with the falling factorial
+perm(f, r) of its f free points and r positions, or d^r for counts of
+all tuples.  The free points that H fixes are one child, counted once
+per such point, because a permutation that swaps two of them commutes
+with H.  The work grows with the orbits of the prefixes, not with the
+number of tuples or sets of points.
 
-Two searches.  The NumPy kernel ranks states in the combinatorial
-number system (multisets by stars and bars) and keeps one byte per
-state, the label of the seed that reached it, and the frame as the rank
-of its ordering, one byte up to s = 5.  It runs a multi-source BFS from
-batches of up to 254 seeds in scan order.  A level applies one
-generator at a time and labels its new states before the next generator
-reads them; the images of a duplicate-free frontier are duplicate-free,
-so no deduplication is needed.  Every image that lands on a state with
-another label, or in another ordering, records its seed pair and
-Schreier element, and after the batch the seeds that met are merged
-with Sym(s)-valued potentials.  The batch size follows the mean orbit
-size seen so far.  State spaces whose size times the number of
-generators plus one is at most PYTHON_SEARCH_WORK, such as the leaves
-of an expression, are searched in plain Python from one seed at a
-time: there the kernel's fixed cost per call and per level outweighs
-its work.
-
-Telemetry.  OrbitCount.states counts the visited states, the work done.
-OrbitCount.tuples_visited counts the tuples those states settle,
-n! / prod mu_i! each, so it ends at d (d - 1) ... (d - n + 1) or d^n.
-Two budgets protect the caller: a tuple budget, checked against
-tuples_visited after each generator step of every search, and an
-element budget on group closure (only stabilizer_bound_check enumerates
-group elements).  Hitting either raises CapacityError, never a wrong
-count.
+Telemetry.  OrbitCount.nodes counts the stabilizers whose orbits were
+computed and OrbitCount.sifted the Schreier elements put through the
+filter.  OrbitCount.tuples_visited counts the tuples the closed nodes
+settle, their weight times the tuples below them, so it ends at
+d (d - 1) ... (d - n + 1) or d^n.  The tuple budget is checked against
+it each time a node settles tuples, so a count raises CapacityError
+exactly when the tuples exceed the budget, never with a wrong count.
+Only stabilizer_bound_check enumerates group elements, under an element
+budget that raises CapacityError in the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, permutations, repeat
-from math import comb, factorial, prod
-
-import numpy as np
+from math import perm
+from operator import itemgetter
 
 from .errors import CapacityError
 
@@ -68,9 +60,6 @@ DEFAULT_TUPLE_BUDGET = 10**7
 DEFAULT_ELEMENT_BUDGET = 10**6
 MAX_TUPLE_STATES = 1 << 28
 MAX_TRUNC_DEGREE = 4096
-# states times (generators + 1) up to which the plain Python search runs;
-# the two searches took equal time at about 800 on a 2-core x86 host
-PYTHON_SEARCH_WORK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -113,19 +102,20 @@ class FinPermGroup:
 class OrbitCount:
     """Result of one orbit count, with telemetry.
 
-    ``states`` is the number of sets (injective counts) or multisets of
-    n points the search visited, ``tuples_visited`` the number of
-    tuples they settle, and ``levels`` the number of BFS levels it
-    expanded, summed over its seeds; all three are deterministic for a
-    given group, n and injectivity flag.
+    ``tuples_visited`` is the number of tuples the count settled, all
+    d (d - 1) ... (d - n + 1) injective or d^n tuples once it is done;
+    ``nodes`` the number of stabilizers whose orbits it computed and
+    ``sifted`` the number of Schreier elements it put through Sims'
+    filter.  All three are deterministic for a given group, n and
+    injectivity flag.
     """
 
     n: int
     injective: bool
     count: int
     tuples_visited: int
-    levels: int
-    states: int
+    nodes: int
+    sifted: int
 
 
 def _budget_error(budget: int, total: int, domain: int, n: int, injective: bool) -> CapacityError:
@@ -136,297 +126,120 @@ def _budget_error(budget: int, total: int, domain: int, n: int, injective: bool)
     )
 
 
-def _generate(gens, degree: int) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
-    """The generators that each enlarge the group generated so far, in
-    order, and the elements of the group they all generate."""
-    elements = {tuple(range(degree))}
-    kept: list[tuple[int, ...]] = []
-    for g in gens:
-        if g in elements:
-            continue
-        kept.append(g)
-        queue = list(elements)
-        while queue:
-            x = queue.pop()
-            for k in kept:
-                y = tuple([k[i] for i in x])
-                if y not in elements:
-                    elements.add(y)
-                    queue.append(y)
-    return kept, elements
+def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(g)
+    for p, q in enumerate(g):
+        inv[q] = p
+    return tuple(inv)
 
 
-def _merge_batch(keys: np.ndarray, weights: np.ndarray, s: int) -> tuple[int, int]:
-    """Orbits on states and on tuples of one batch, from its meetings.
+class _Descent:
+    """One count: its constants, its counters, and the descent itself."""
 
-    A key packs (a, b, e): a state that seed a reached had been reached
-    from seed b, so some group element maps point i of seed a to point
-    e[i] of seed b.  Each seed takes the smallest seed it is linked to
-    as its root, with a potential rho that maps its points to the
-    root's.  Every key then gives rho_b e rho_a^-1, an element of K,
-    the group that the stabilizer of the root's state induces on its
-    points, and the elements of all keys generate K (Schreier's lemma).
-    The orbit adds weight / |K| orbits on tuples.
-    """
-    seeds = weights.size
-    ident = np.arange(s)[:, None]
-    pair, code = np.divmod(keys, s**s)
-    a, b = np.divmod(pair, 256)
-    a -= 1
-    b -= 1
-    e = code // s**ident % s
-    cross = np.flatnonzero(a != b)
-    src = np.concatenate([a[cross], b[cross]])
-    dst = np.concatenate([b[cross], a[cross]])
-    back = np.empty_like(e[:, cross])
-    np.put_along_axis(back, e[:, cross], ident, axis=0)
-    step = np.concatenate([e[:, cross], back], axis=1)
-    root = np.arange(seeds)
-    rho = np.repeat(ident, seeds, axis=1)
-    while True:
-        # each seed that meets a smaller root moves to the smallest one
-        better = np.flatnonzero(root[dst] < root[src])
-        if better.size == 0:
-            break
-        better = better[np.lexsort((root[dst[better]], src[better]))]
-        first = np.ones(better.size, dtype=bool)
-        first[1:] = src[better[1:]] != src[better[:-1]]
-        better = better[first]
-        x, y = src[better], dst[better]
-        rho[:, x] = np.take_along_axis(rho[:, y], step[:, better], axis=0)
-        root[x] = root[y]
-    rho_inv = np.empty_like(rho)
-    np.put_along_axis(rho_inv, rho, ident, axis=0)
-    elem = rho[np.take_along_axis(e, rho_inv[:, a], axis=0), b]
-    moved = (elem != ident).any(axis=0)
-    heads = root == np.arange(seeds)
-    count = int(weights[heads].sum())
-    if moved.any():
-        by_root: dict[int, list] = {}
-        for key in np.unique(root[a[moved]] * s**s + (elem[:, moved] * s**ident).sum(axis=0)).tolist():
-            r, code = divmod(key, s**s)
-            by_root.setdefault(r, []).append(tuple(code // s**i % s for i in range(s)))
-        for r, gens in by_root.items():
-            w = int(weights[r])
-            count -= w - w // len(_generate(gens, s)[1])
-    return int(heads.sum()), count
+    def __init__(self, degree: int, n: int, injective: bool, budget: int):
+        self.degree = degree
+        self.n = n
+        self.injective = injective
+        self.budget = budget
+        self.identity = tuple(range(degree))
+        self.tuples = self.nodes = self.sifted = 0
 
+    def settle(self, tuples: int) -> None:
+        self.tuples += tuples
+        if self.tuples > self.budget:
+            raise _budget_error(self.budget, self.tuples, self.degree, self.n, self.injective)
 
-def _bfs_orbits_python(gens, domain: int, n: int, injective: bool, budget: int):
-    """The same search in plain Python, one seed at a time.
-
-    A state maps to the ordering it was first reached in, as a tuple of
-    its seed's distinct points; a generator image that lands on a known
-    state in another ordering gives a Schreier element directly.
-    """
-    pool = combinations if injective else combinations_with_replacement
-    n_fact = factorial(n)
-    frames: dict[tuple[int, ...], tuple[int, ...]] = {}
-    count = tuples = levels = 0
-    for seed in pool(range(domain), n):
-        if seed in frames:
-            continue
-        points = tuple(sorted(set(seed)))
-        mult = [seed.count(p) for p in points]
-        weight = n_fact // prod(map(factorial, mult))
-        frames[seed] = points
-        tuples += weight
-        if tuples > budget:
-            raise _budget_error(budget, tuples, domain, n, injective)
-        frontier = [points]
-        schreier = []
-        while frontier and gens:
-            levels += 1
-            nxt = []
-            for g in gens:
-                for row in frontier:
-                    img = tuple([g[p] for p in row])
-                    if injective:
-                        state = tuple(sorted(img))
-                    else:
-                        state = tuple(sorted(chain.from_iterable(map(repeat, img, mult))))
-                    old = frames.get(state)
-                    if old is None:
-                        frames[state] = img
-                        nxt.append(img)
-                        tuples += weight
-                    elif old != img:
-                        schreier.append(tuple([old.index(p) for p in img]))
-                if tuples > budget:
-                    raise _budget_error(budget, tuples, domain, n, injective)
-            frontier = nxt
-        count += weight // len(_generate(schreier, len(points))[1])
-    return count, tuples, len(frames), levels
-
-
-def _bfs_orbits_numpy(gens: np.ndarray, domain: int, n: int, injective: bool, budget: int):
-    """The multi-source BFS over ranked states (module docstring)."""
-    d = domain
-    s = n if injective else min(n, d)
-    shift = 0 if injective else 1
-    width = d + shift * (n - 1)
-    # pas[k, x] = C(x, k).  A state is a sorted tuple p_0 <= ... <= p_{n-1}
-    # (strictly increasing for sets); with q_i = p_i + shift * i its rank
-    # sum_i C(q_i, i + 1) numbers the C(width, n) states from 0.
-    pas = np.zeros((n + 1, width + n + 1), dtype=np.int64)
-    pas[0] = 1
-    for k in range(1, n + 1):
-        np.cumsum(pas[k - 1, :-1], out=pas[k, 1:])
-    size = int(pas[n, width])
-    # term[j, p]: the rank term of point p at sorted position j.  For
-    # multisets a frontier row is padded with the sentinel points
-    # d..d+s-1, fixed by every generator, and cum[j] sums the terms of
-    # the positions below j, zero at the sentinels.
-    point = np.min_scalar_type(-(d + s))
-    term = np.stack([pas[j + 1, shift * j : shift * j + d] for j in range(n)])
-    if injective:
-        term = term.reshape(-1)
-        table = gens.astype(point)
-    else:
-        cum = np.zeros((n + 1, d + s), dtype=np.int64)
-        np.cumsum(term, axis=0, out=cum[1:, :d])
-        cum = cum.reshape(-1)
-        pad = np.broadcast_to(np.arange(d, d + s), (gens.shape[0], s))
-        table = np.concatenate([gens, pad], axis=1).astype(point)
-    # an ordering of s points as its lexicographic rank (one byte up to
-    # s = 5), looked up by its first s - 1 digits in base s
-    perms = np.array(list(permutations(range(s))), dtype=np.int8).reshape(-1, s)
-    ranked = np.uint8 if perms.shape[0] <= 256 else np.uint16
-    radix = s ** np.arange(s - 1, dtype=np.int64)
-    lex = np.zeros(s ** (s - 1), dtype=ranked)
-    lex[radix @ perms[:, :-1].T] = np.arange(perms.shape[0])
-    inverses = np.argsort(perms, axis=1).astype(np.int8).reshape(-1)
-    digits = s ** np.arange(s, dtype=np.int64)[:, None]
-    n_fact = factorial(n)
-
-    # label[r]: 0 unvisited, else the label 1..254 of the seed of its
-    # batch that reached state r; frame[r]: the rank of the ordering of
-    # the seed's points it was first reached in (there is nothing to
-    # order with one point, and nothing reached without generators)
-    label = np.zeros(size, dtype=np.uint8)
-    ngens = gens.shape[0]
-    frame = np.zeros(size, dtype=ranked) if ngens and s > 1 else None
-
-    # A batch seeds the next unvisited states in scan order, as many as
-    # fill about one chunk of states at the mean orbit size so far.  The
-    # group is finite, so forward reachability along the generators is
-    # exactly the orbit: earlier batches leave only closed orbits behind,
-    # a batch never reaches a state that an earlier one labelled, and
-    # every batch reuses the labels 1..254.
-    chunk = 1 << 16
-    count = tuples = states = levels = orbits = 0
-    scan = 0
-    while scan < size:
-        want = min(max(chunk * orbits // states, 1), 254) if states else 1
-        seeds = []
-        while scan < size:
-            free = np.flatnonzero(label[scan : scan + (chunk >> 4)] == 0)[:want]
-            seeds.append(scan + free)
-            want -= free.size
-            if want == 0:
-                scan += int(free[-1]) + 1
-                break
-            scan += chunk >> 4
-        seed_rank = np.concatenate(seeds)
-        nseeds = seed_rank.size
-        if nseeds == 0:
-            break
-        flab = np.arange(1, nseeds + 1, dtype=np.uint8)
-        label[seed_rank] = flab
-        # unrank the seeds: q_i is the largest q with C(q, i + 1) <= rest
-        rest = seed_rank.copy()
-        pts = np.empty((n, nseeds), dtype=np.int64)
-        for i in range(n - 1, -1, -1):
-            q = np.searchsorted(pas[i + 1, :width], rest, side="right") - 1
-            rest -= pas[i + 1, q]
-            pts[i] = q - shift * i
-        if injective:
-            frontier = pts.astype(point)
-            weights = np.full(nseeds, n_fact, dtype=np.int64)
-        else:
-            # a seed's distinct points, each with its multiplicity
-            first = np.ones((n, nseeds), dtype=bool)
-            first[1:] = pts[1:] != pts[:-1]
-            slot = np.cumsum(first, axis=0) - 1
-            cols = np.arange(nseeds)
-            frontier = np.repeat(np.arange(d, d + s, dtype=point)[:, None], nseeds, axis=1)
-            frontier[slot, cols] = pts
-            seed_mult = np.bincount((slot * nseeds + cols).ravel(), minlength=s * nseeds)
-            seed_mult = np.pad(seed_mult.reshape(s, nseeds), ((0, 0), (1, 0))).astype(np.int8)
-            weights = np.array(
-                [n_fact // prod(map(factorial, m)) for m in seed_mult[:, 1:].T.tolist()],
-                dtype=np.int64,
-            )
-            seed_weight = np.concatenate([[0], weights])
-        states += nseeds
-        tuples += int(weights.sum())
-        if tuples > budget:
-            raise _budget_error(budget, tuples, d, n, injective)
-
-        keys = []
-        while frontier.shape[1] and ngens:
-            levels += 1
-            nxt = []
-            nxt_lab = []
-            reached = []
-            if not injective:
-                mult = seed_mult.take(flab, axis=1)
-                span = mult * np.intp(d + s)
-            for g in range(ngens):
-                img = table[g].take(frontier)
-                # less[i, j]: point j of the row lies below point i;
-                # order[i]: how many of its points lie below point i
-                less = img[:, None] > img[None]
-                order = less.sum(axis=1, dtype=np.int8)
-                code = lex.take(radix @ order[:-1])
-                if injective:
-                    at = order.astype(np.intp)
-                    at *= d
-                    at += img
-                    rank = term.take(at).sum(axis=0)
-                else:
-                    at = (less * mult[None]).sum(axis=1, dtype=np.intp)
-                    at *= d + s
-                    at += img
-                    rank = cum.take(at + span).sum(axis=0) - cum.take(at).sum(axis=0)
-                new = label.take(rank) == 0
-                fresh = rank[new]
-                new_lab = flab[new]
-                label[fresh] = new_lab
-                if frame is not None:
-                    frame[fresh] = code[new]
-                nxt.append(img.compress(new, axis=1))
-                nxt_lab.append(new_lab)
-                reached.append((rank, code, order))
-                states += fresh.size
-                tuples += fresh.size * n_fact if injective else int(seed_weight.take(new_lab).sum())
-                if tuples > budget:
-                    raise _budget_error(budget, tuples, d, n, injective)
-            # Every image whose state carries another label, or was first
-            # reached in another ordering, records a key: the seeds of the
-            # two labels met, or one seed found a Schreier element.
-            rank, code, order = (np.concatenate(x, axis=-1) for x in zip(*reached))
-            la = np.tile(flab, ngens).astype(np.int64)
-            lb = label.take(rank).astype(np.int64)
-            if frame is None:
-                keep = la != lb
-                elem = 0
+    def descend(self, gens: list, free: list[int], r: int, weight: int) -> int:
+        """Orbits of H, generated by gens, on the r-tuples that extend a
+        prefix (module docstring); weight prefixes settle with them."""
+        if not gens:
+            closed = perm(len(free), r) if self.injective else self.degree**r
+            self.settle(weight * closed)
+            return closed
+        self.nodes += 1
+        seen = set()
+        orbits = []
+        for x in free:
+            if x in seen:
+                continue
+            orbit = [x]
+            seen.add(x)
+            for y in orbit:
+                for g in gens:
+                    z = g[y]
+                    if z not in seen:
+                        seen.add(z)
+                        orbit.append(z)
+            orbits.append(orbit)
+        if r == 1:
+            self.settle(weight * len(free))
+            return len(orbits)
+        total = 0
+        fixed = []
+        for orbit in orbits:
+            x = orbit[0]
+            if len(orbit) == 1:
+                fixed.append(x)
             else:
-                fy = frame.take(rank).astype(np.int64)
-                keep = (la != lb) | (fy != code)
-                elem = inverses.take(fy[keep] * s + order.compress(keep, axis=1))
-                elem = (elem * digits).sum(axis=0)
-            if keep.any():
-                keys.append(np.unique((la[keep] * 256 + lb[keep]) * s**s + elem))
-            frontier = np.concatenate(nxt, axis=1)
-            flab = np.concatenate(nxt_lab)
-        if keys:
-            found, tuple_orbits = _merge_batch(np.unique(np.concatenate(keys)), weights, s)
-        else:
-            found, tuple_orbits = nseeds, int(weights.sum())
-        orbits += found
-        count += tuple_orbits
-    return count, tuples, states, levels
+                total += self.descend(self.stabilizer(gens, x), self.after(free, x), r - 1, weight * len(orbit))
+        if fixed:
+            # H_x = H for each fixed x, and the children of all of them agree
+            total += len(fixed) * self.descend(gens, self.after(free, fixed[0]), r - 1, weight * len(fixed))
+        return total
+
+    def after(self, free: list[int], x: int) -> list[int]:
+        """The free points of a child whose prefix takes x."""
+        return [p for p in free if p != x] if self.injective else free
+
+    def stabilizer(self, gens: list, x: int) -> list:
+        """Generators of the stabilizer of x: the Schreier elements of its
+        orbit under gens, through Sims' filter."""
+        identity = self.identity
+        # A permutation is the tuple of its images, and itemgetter(*g)(h)
+        # is the product "g, then h".  u[y] maps x to y, v[y] = u[y]^-1.
+        u = {x: identity}
+        v = {x: identity}
+        orbit = [x]
+        kept = {}
+        find = kept.get
+        inverse = {}
+        sifted = 0
+        for y in orbit:
+            from_x = itemgetter(*u[y])
+            for s in gens:
+                z = s[y]
+                w = from_x(s)
+                uz = u.get(z)
+                if uz is None:
+                    u[z] = w
+                    v[z] = _inverse(w)
+                    orbit.append(z)
+                    continue
+                if w == uz:
+                    continue
+                # u_y, then s, then u_z^-1 fixes x (Schreier's lemma)
+                h = itemgetter(*w)(v[z])
+                sifted += 1
+                # Sims' filter: kept[i, j] has first moved point i and maps
+                # it to j.  When h does too, "h, then kept[i, j]^-1" fixes i
+                # and every point before it.
+                i = 0
+                while True:
+                    while h[i] == i:
+                        i += 1
+                    key = (i, h[i])
+                    k = find(key)
+                    if k is None:
+                        kept[key] = h
+                        break
+                    undo = inverse.get(key)
+                    if undo is None:
+                        undo = inverse[key] = _inverse(k)
+                    h = itemgetter(*h)(undo)
+                    if h == identity:
+                        break
+        self.sifted += sifted
+        return list(kept.values())
 
 
 def _count_orbits(group: FinPermGroup, n: int, injective: bool, budget: int) -> OrbitCount:
@@ -441,16 +254,11 @@ def _count_orbits(group: FinPermGroup, n: int, injective: bool, budget: int) -> 
         raise CapacityError(
             f"state space {group.degree}^{n} = {size} exceeds the cap {MAX_TUPLE_STATES}"
         )
-    d = group.degree
-    gens = group.generators
-    states = comb(d, n) if injective else comb(d + n - 1, n)
-    if states * (len(gens) + 1) <= PYTHON_SEARCH_WORK:
-        found = _bfs_orbits_python(gens, d, n, injective, budget)
-    else:
-        table = np.array(gens, dtype=np.int64).reshape(len(gens), d)
-        found = _bfs_orbits_numpy(table, d, n, injective, budget)
-    count, total, states, levels = found
-    return OrbitCount(n, injective, count, total, levels, states)
+    descent = _Descent(group.degree, n, injective, budget)
+    # the generators that move a point, each once
+    gens = list(dict.fromkeys(g for g in group.generators if g != descent.identity))
+    found = descent.descend(gens, list(range(group.degree)), n, 1)
+    return OrbitCount(n, injective, found, descent.tuples, descent.nodes, descent.sifted)
 
 
 def count_orbits_injective(
@@ -530,6 +338,26 @@ def truncate_expr(expr, m: int) -> FinPermGroup:
             gens.append(tuple(cycle))
         return FinPermGroup(degree, tuple(gens))
     raise TypeError(f"not a group expression: {expr!r}")
+
+
+def _generate(gens, degree: int) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
+    """The generators that each enlarge the group generated so far, in
+    order, and the elements of the group they all generate."""
+    elements = {tuple(range(degree))}
+    kept: list[tuple[int, ...]] = []
+    for g in gens:
+        if g in elements:
+            continue
+        kept.append(g)
+        queue = list(elements)
+        while queue:
+            x = queue.pop()
+            for k in kept:
+                y = tuple([k[i] for i in x])
+                if y not in elements:
+                    elements.add(y)
+                    queue.append(y)
+    return kept, elements
 
 
 def _enumerate_elements(group: FinPermGroup, cap: int) -> list[tuple[int, ...]]:

@@ -150,22 +150,36 @@ def stirling_transform(l: IntSeq) -> IntSeq:
     return IntSeq(tuple(vals), label)
 
 
+def _top(values) -> int:
+    """The last index with a non-zero value, 0 if there is none."""
+    return max((k for k, v in enumerate(values) if v), default=0)
+
+
 def binomial_convolution(a: IntSeq, b: IntSeq) -> IntSeq:
     """The sequence c with c_n = sum_k C(n, k) * a_k * b_{n-k}.
 
     The injective-tuple growth sequence of a direct product: an n-tuple
     splits its positions between the two factors.  Both prefixes must
-    have the same length.  The binomials come from one running Pascal
-    row, C(n, k) for k <= n.
+    have the same length.  The sum is symmetric in a and b, so let a be
+    the factor whose last non-zero entry a_top comes first (a finite
+    leaf ends at its degree).  The binomials come from one running
+    Pascal row, C(n, k) for k <= min(n, top).
     """
     if len(a) != len(b):
         raise ValueError(f"prefix lengths differ: {len(a)} vs {len(b)}")
     av, bv = a.values, b.values
+    top_a, top_b = _top(av), _top(bv)
+    if top_b < top_a:
+        av, bv = bv, av
+    top = min(top_a, top_b)
     row = [1]
     vals = [av[0] * bv[0]]
     for n in range(1, len(av)):
-        row = [1, *map(add, row[1:], row[:-1]), 1]
-        vals.append(sum(map(mul, map(mul, row, av), reversed(bv[: n + 1]))))
+        row = [1, *map(add, row[1:], row[:-1])]
+        if n <= top:
+            row.append(1)
+        m = min(n, top)
+        vals.append(sum(map(mul, map(mul, row, av), reversed(bv[n - m : n + 1]))))
     return IntSeq(tuple(vals))
 
 
@@ -182,7 +196,7 @@ def exp_shift(a: IntSeq) -> IntSeq:
     """
     if a[0] != 1:
         raise ValueError(f"exp_shift needs a_0 = 1, got {a[0]}")
-    top = max(k for k, a_k in enumerate(a) if a_k)
+    top = _top(a)
     coef = a.values[1 : top + 1]
     row = [1]
     b = [1]

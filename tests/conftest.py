@@ -1,12 +1,12 @@
-"""Shared fixtures: data paths, the CLI runner, and the kernel id.
+"""Shared fixtures: data paths, the CLI runner, and a blocked module.
 
-The orbit search runs in plain Python on small state spaces and on the
-NumPy kernel above them.  The ``kernel`` fixture sends every count of
-a test to the NumPy kernel, whatever the size, so that the small groups
-of the zoo exercise it too.  Two tests request it,
+``blocked_module`` makes the module its one parameter names, numpy,
+unimportable for the duration of a test.  Two tests request it,
 ``test_all_tuple_orbits_match_brute`` and
-``test_tuples_visited_covers_the_state_space``; their ids keep the
-``[numpy-<group>]`` form and stay comparable with earlier test records.
+``test_tuples_visited_covers_the_state_space``: their counts run with
+NumPy unavailable, and their ids keep the ``[numpy-<group>]`` form they
+had when the parameter chose the NumPy kernel, so they stay comparable
+with earlier test records.
 """
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from growthlab import orbit_oracle
-
 DATA = Path(__file__).parent / "data"
 
 
@@ -28,8 +26,8 @@ def data_dir() -> Path:
 
 
 @pytest.fixture(params=["numpy"])
-def kernel(request, monkeypatch) -> str:
-    monkeypatch.setattr(orbit_oracle, "PYTHON_SEARCH_WORK", 0)
+def blocked_module(request, monkeypatch) -> str:
+    monkeypatch.setitem(sys.modules, request.param, None)
     return request.param
 
 

@@ -2,7 +2,8 @@
 
 Everything here is written against the definitions, not against the
 package: set partitions are enumerated by block insertion, orbits are
-counted by minimising over the full element list of the group, graph
+counted by minimising over the full element list of the group (or, for
+groups too large for that, by a search over sets of points), graph
 membership tries every injection.  Values frozen below were computed
 by these routines (and agree with the library under test only if both
 are right).
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, combinations, combinations_with_replacement, permutations, product, repeat
 from math import comb, factorial
 from typing import Iterator
 
@@ -229,6 +230,80 @@ def brute_orbit_count(gens, degree: int, n: int, injective: bool) -> int:
     for t in pool:
         canon.add(min(tuple(g[v] for v in t) for g in elements))
     return len(canon)
+
+
+def _order_in_sym(gens, s: int) -> int:
+    """Order of the subgroup of Sym(s) that the generators produce.  A
+    generator already in the group built so far adds nothing; a new one
+    is kept, and every element found so far is multiplied again by all
+    kept generators."""
+    elements = {tuple(range(s))}
+    kept: list[tuple[int, ...]] = []
+    for g in gens:
+        if g in elements:
+            continue
+        kept.append(g)
+        queue = list(elements)
+        while queue:
+            x = queue.pop()
+            for k in kept:
+                y = tuple([k[i] for i in x])
+                if y not in elements:
+                    elements.add(y)
+                    queue.append(y)
+    return len(elements)
+
+
+def orbit_count_by_sets(gens, degree: int, n: int, injective: bool) -> tuple[int, int]:
+    """Orbits on injective or all n-tuples, and the tuples they settle,
+    by a search over the sets (multisets for all tuples) of n points.
+
+    A set X with distinct points p_1..p_s of multiplicities mu_1..mu_s
+    carries n! / prod mu_i! tuples; only the identity of K, the group
+    that the stabilizer of X induces on its points, fixes one of them,
+    so they fall into (n! / prod mu_i!) / |K| orbits.  The search grows
+    each orbit of sets from a seed, one generator step at a time, and
+    remembers for each set the ordering of the seed's points it was
+    first reached in.  A generator that maps a reached set onto a
+    reached set in another ordering gives an element of K, and over the
+    whole orbit these generate K (Schreier's lemma).  The second value
+    is the number of tuples over all visited sets, perm(degree, n) or
+    degree^n.
+    """
+    pool = combinations if injective else combinations_with_replacement
+    n_fact = factorial(n)
+    frames: dict[tuple[int, ...], tuple[int, ...]] = {}
+    count = tuples = 0
+    for seed in pool(range(degree), n):
+        if seed in frames:
+            continue
+        points = tuple(sorted(set(seed)))
+        mult = [seed.count(p) for p in points]
+        weight = n_fact // _prod(factorial(m) for m in mult)
+        frames[seed] = points
+        frontier = [points]
+        schreier = []
+        size = 1
+        while frontier:
+            nxt = []
+            for g in gens:
+                for row in frontier:
+                    img = tuple([g[p] for p in row])
+                    if injective:
+                        state = tuple(sorted(img))
+                    else:
+                        state = tuple(sorted(chain.from_iterable(map(repeat, img, mult))))
+                    old = frames.get(state)
+                    if old is None:
+                        frames[state] = img
+                        nxt.append(img)
+                        size += 1
+                    elif old != img:
+                        schreier.append(tuple([old.index(p) for p in img]))
+            frontier = nxt
+        tuples += size * weight
+        count += weight // _order_in_sym(schreier, len(points))
+    return count, tuples
 
 
 def brute_stirling2(n: int, k: int) -> int:

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -129,9 +131,31 @@ def test_oracle_check_reports_bfs_levels_deterministically():
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     tel = json.loads(a.stdout)["telemetry"]
-    assert int(tel["bfs_levels"]) > 0
-    assert int(tel["bfs_states"]) > 0
+    # the orbit oracle's work counters: stabilizers expanded and
+    # Schreier elements sifted
+    assert int(tel["oracle_nodes"]) > 0
+    assert int(tel["oracle_sifted"]) > 0
     assert int(tel["tuples_visited"]) > 0
+
+
+def test_cli_imports_no_third_party_package():
+    # None in sys.modules makes every import of numpy fail; the import of
+    # the CLI adds only standard-library modules, and an oracle check runs
+    argv = ["seq", E_REL, "--max-n", "6", "--oracle-check", "--budget-tuples", "100000000"]
+    script = (
+        "import io, json, sys, contextlib\n"
+        "sys.modules['numpy'] = None\n"
+        "before = set(sys.modules)\n"
+        "import growthlab.cli\n"
+        "roots = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(json.dumps(sorted(roots - set(sys.stdlib_module_names) - {'growthlab'})))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = growthlab.cli.main({argv!r})\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,18 @@ def test_product_matches_convolution_by_comb(pair):
     assert list(binomial_convolution(IntSeq(tuple(a)), IntSeq(tuple(b)))) == oracles.convolution_by_comb(a, b)
 
 
+def test_product_with_a_finite_factor_on_either_side():
+    # (finite 2) x e_rel: the row is cut at the finite factor's last
+    # non-zero entry, whichever side it is on; a zero factor gives zeros
+    finite = [1, 2, 2] + [0] * 118
+    bell_row = [oracles.bell_by_triangle(n) for n in range(121)]
+    want = oracles.convolution_by_comb(finite, bell_row)
+    assert list(binomial_convolution(IntSeq(tuple(finite)), IntSeq(tuple(bell_row)))) == want
+    assert list(binomial_convolution(IntSeq(tuple(bell_row)), IntSeq(tuple(finite)))) == want
+    zero = IntSeq((0,) * 121)
+    assert list(binomial_convolution(zero, IntSeq(tuple(bell_row)))) == [0] * 121
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(min_value=0, max_value=79).flatmap(zero_tailed))
 def test_exp_shift_matches_exp_shift_by_comb(tail):

@@ -1,4 +1,4 @@
-"""Orbit counting by generator BFS, truncations, and the stabilizer bound."""
+"""Orbit counting by stabilizer descent, truncations, and the stabilizer bound."""
 from __future__ import annotations
 
 import resource
@@ -27,17 +27,34 @@ ZOO = {
     "d4": FinPermGroup(4, ((1, 2, 3, 0), (2, 1, 0, 3))),
     "a4": FinPermGroup(4, ((1, 2, 0, 3), (1, 0, 3, 2))),
     "s3xs2": FinPermGroup(5, ((1, 0, 2, 3, 4), (1, 2, 0, 3, 4), (0, 1, 2, 4, 3))),
+    # S3 on {0, 2, 5} times C3 on {1, 3, 4}, by (0 5 2) and (0 2)(1 3 4)
+    "s3xc3": FinPermGroup(6, ((5, 1, 0, 3, 4, 2), (2, 3, 0, 4, 1, 5))),
 }
 
 
-def each_search(count, group, n, **kwargs):
-    """The count on the NumPy kernel and on the plain Python search."""
-    results = []
-    for work in (0, 1 << 62):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orbit_oracle, "PYTHON_SEARCH_WORK", work)
-            results.append(count(group, n, **kwargs))
-    return results
+@st.composite
+def small_groups(draw, max_degree: int = 7):
+    degree = draw(st.integers(min_value=1, max_value=max_degree))
+    gens = draw(st.lists(st.permutations(range(degree)), max_size=3))
+    return FinPermGroup(degree, tuple(tuple(g) for g in gens))
+
+
+@st.composite
+def cycle_groups(draw, max_degree: int):
+    """Groups generated by products of disjoint cycles on a few points,
+    which give direct-product-like groups with many small orbits."""
+    degree = draw(st.integers(min_value=2, max_value=max_degree))
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        image = list(range(degree))
+        points = draw(st.permutations(range(degree)))[: draw(st.integers(min_value=2, max_value=degree))]
+        while len(points) >= 2:
+            length = draw(st.integers(min_value=2, max_value=len(points)))
+            cycle, points = points[:length], points[length:]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                image[a] = b
+        gens.append(tuple(image))
+    return FinPermGroup(degree, tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -101,24 +118,13 @@ def test_injective_orbits_match_brute(name):
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-@pytest.mark.usefixtures("kernel")
+@pytest.mark.usefixtures("blocked_module")
 def test_all_tuple_orbits_match_brute(name):
     g = ZOO[name]
     for n in range(6):
         got = count_orbits_all(g, n).count
         want = oracles.brute_orbit_count(g.generators, g.degree, n, injective=False)
         assert got == want, (name, n)
-
-
-@pytest.mark.parametrize("name", sorted(ZOO))
-def test_python_and_numpy_searches_agree(name):
-    g = ZOO[name]
-    for n in range(6):
-        for count in (count_orbits_injective, count_orbits_all):
-            on_numpy, on_python = (
-                (r.count, r.tuples_visited, r.states) for r in each_search(count, g, n)
-            )
-            assert on_numpy == on_python, (count.__name__, n)
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
@@ -133,13 +139,69 @@ def test_stirling_identity_links_all_and_injective(name):
 
 
 # ---------------------------------------------------------------------------
-# Multi-source BFS: more orbits than one batch of 254 seeds holds
+# Against the set search (oracles.orbit_count_by_sets), beyond brute force
+
+
+def disjoint_transpositions(k: int) -> FinPermGroup:
+    """The k transpositions (2i 2i+1) on 2k points."""
+    return FinPermGroup(
+        2 * k, tuple(tuple(p ^ 1 if p // 2 == i else p for p in range(2 * k)) for i in range(k))
+    )
+
+
+def oracle_check_shapes(text: str, top: int):
+    """The truncations that seq --oracle-check counts for n <= top."""
+    expr = parse_expr(text)
+    return [(truncate_expr(expr, m), n) for n in range(1, top + 1) for m in (n, n + 1)]
+
+
+SET_SEARCH_SHAPES = {
+    "e_rel": [
+        (truncate_expr(parse_expr("(wr (wr (finite 1)))"), m), n)
+        for m in range(1, 6)
+        for n in range(1, 6)
+    ],
+    "wide-2628": [(truncate_expr(parse_expr("(wr (prod (finite 3) (wr (finite 1))))"), 4), 4)],
+    "cell-s3": oracle_check_shapes("(wr (finite 3 gens=[(0 1 2), (0 1)]))", 5),
+    "cell-s2c3": oracle_check_shapes("(wr (prod (finite 2 gens=[(0 1)]) (finite 3 gens=[(0 1 2)])))", 4),
+    "free-c3": [(FinPermGroup(9, ((1, 2, 0, 4, 5, 3, 7, 8, 6),)), n) for n in range(1, 6)],
+    "transpositions-8": [(disjoint_transpositions(8), 5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SET_SEARCH_SHAPES))
+def test_orbits_match_the_set_search(name):
+    # all tuples too where the multisets stay few
+    for g, n in SET_SEARCH_SHAPES[name]:
+        for injective in (True, False) if g.degree <= 16 else (True,):
+            count = count_orbits_injective if injective else count_orbits_all
+            r = count(g, n, budget=10**8)
+            want = oracles.orbit_count_by_sets(g.generators, g.degree, n, injective=injective)
+            assert (r.count, r.tuples_visited) == want, (g.degree, n, injective)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(small_groups(max_degree=12), cycle_groups(max_degree=12)),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+)
+def test_random_groups_match_the_set_search(g, n, injective):
+    count = count_orbits_injective if injective else count_orbits_all
+    r = count(g, n)
+    want = oracles.orbit_count_by_sets(g.generators, g.degree, n, injective=injective)
+    assert (r.count, r.tuples_visited) == want
+
+
+# ---------------------------------------------------------------------------
+# Many orbits
 
 
 def test_free_c3_has_more_orbits_than_a_batch():
     # (0 1 2)(3 4 5)(6 7 8) acts freely on injective tuples, so its
     # 9 * 8 * 7 * 6 = 3024 injective 4-tuples fall into 1008 orbits of 3;
-    # batches of seeds in scan order hold seeds that share an orbit.
+    # the stabilizer of the first point is trivial, so every child of the
+    # root closes with a falling factorial.
     g = FinPermGroup(9, ((1, 2, 0, 4, 5, 3, 7, 8, 6),))
     want = oracles.brute_orbit_count(g.generators, g.degree, 4, injective=True)
     r = count_orbits_injective(g, 4)
@@ -148,19 +210,13 @@ def test_free_c3_has_more_orbits_than_a_batch():
 
 
 def test_trivial_group_has_more_orbits_than_a_batch():
-    # no generators: every injective 4-tuple of 7 points is its own orbit
+    # no generators: every injective 4-tuple of 7 points is its own orbit,
+    # and the root closes with perm(7, 4) without a Schreier element
     g = FinPermGroup.trivial(7)
     want = oracles.brute_orbit_count(g.generators, g.degree, 4, injective=True)
     r = count_orbits_injective(g, 4)
     assert want == 840
-    assert (r.count, r.tuples_visited, r.levels) == (want, 840, 0)
-
-
-@st.composite
-def small_groups(draw):
-    degree = draw(st.integers(min_value=1, max_value=7))
-    gens = draw(st.lists(st.permutations(range(degree)), max_size=3))
-    return FinPermGroup(degree, tuple(tuple(g) for g in gens))
+    assert (r.count, r.tuples_visited, r.sifted) == (want, 840, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,19 +226,28 @@ def test_random_generators_match_brute(g, n, injective):
     assume(len(oracles.group_closure(g.generators, g.degree)) * g.degree**n <= 100_000)
     count = count_orbits_injective if injective else count_orbits_all
     want = oracles.brute_orbit_count(g.generators, g.degree, n, injective=injective)
-    for r in each_search(count, g, n):
-        assert r.count == want
-        if n:
-            assert r.tuples_visited == (perm(g.degree, n) if injective else g.degree**n)
+    r = count(g, n)
+    assert r.count == want
+    if n:
+        assert r.tuples_visited == (perm(g.degree, n) if injective else g.degree**n)
 
 
 def test_many_small_orbits_share_their_levels():
-    # wide-2628: one BFS per orbit ran 35,507 levels; batches of seeds
-    # expand fewer levels than there are orbits
+    # wide-2628: a node stands for an orbit of prefixes of at most n - 1
+    # points, so there are fewer nodes than orbits of 4-tuples
     g = truncate_expr(parse_expr("(wr (prod (finite 3) (wr (finite 1))))"), 5)
     r = count_orbits_injective(g, 4)
     assert r.count == 2628
-    assert 0 < r.levels < r.count
+    assert 0 < r.nodes < r.count
+
+
+def test_acceptance_01_expands_one_node_per_prefix_orbit():
+    # (wr (wr (finite 1))) at m = 6: the prefixes of 0..4 points fall
+    # into 1, 1, 2, 5 and 15 orbits, the Bell numbers
+    g = truncate_expr(parse_expr("(wr (wr (finite 1)))"), 6)
+    r = count_orbits_injective(g, 5, budget=10**8)
+    assert (r.count, r.tuples_visited) == (52, perm(36, 5))
+    assert 0 < r.nodes <= 1 + 1 + 2 + 5 + 15
 
 
 def test_telemetry_counts_visited_tuples():
@@ -192,21 +257,29 @@ def test_telemetry_counts_visited_tuples():
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-@pytest.mark.usefixtures("kernel")
+@pytest.mark.usefixtures("blocked_module")
 def test_tuples_visited_covers_the_state_space(name):
     # Every tuple of the counted kind lies in exactly one orbit, so the
-    # BFS settles each of them once: deg^n tuples in all, and the falling
-    # factorial deg (deg - 1) ... (deg - n + 1) of them injective.  It
-    # visits each set of n points, or multiset of n points, once.
+    # descent settles each of them once: deg^n tuples in all, and the
+    # falling factorial deg (deg - 1) ... (deg - n + 1) of them injective.
+    # A node stands for at least one orbit of prefixes of fewer than n
+    # points, so there are at most as many nodes as such orbits.
     g = ZOO[name]
     for n in range(1, 6):
+        prefixes = {
+            injective: sum(
+                oracles.brute_orbit_count(g.generators, g.degree, k, injective=injective)
+                for k in range(n)
+            )
+            for injective in (True, False)
+        }
         falling = perm(g.degree, n)
         injective = count_orbits_injective(g, n)
         assert injective.tuples_visited == falling, n
-        assert injective.states == comb(g.degree, n), n
+        assert injective.nodes <= prefixes[True], n
         every = count_orbits_all(g, n)
         assert every.tuples_visited == g.degree**n, n
-        assert every.states == comb(g.degree + n - 1, n), n
+        assert every.nodes <= prefixes[False], n
 
 
 def test_bell_truncation_count_and_telemetry():
@@ -242,8 +315,8 @@ def test_tuple_budget_error_names_its_stage():
 
 
 def test_small_budget_on_a_large_state_space_fails_fast():
-    # C(100, 4) sets: the first seed spends the budget of 5, before any
-    # state beyond it is touched
+    # the trivial group on 100 points closes at the root with all
+    # perm(100, 4) tuples, far beyond the budget of 5
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     start = time.perf_counter()
     with pytest.raises(CapacityError):
@@ -254,9 +327,10 @@ def test_small_budget_on_a_large_state_space_fails_fast():
 
 def test_all_tuples_of_many_positions():
     # S2 swaps the two points of every tuple, so its 2^20 tuples of length
-    # 20 pair up; they lie on the 21 multisets of 20 points from 2
-    for r in each_search(count_orbits_all, FinPermGroup.symmetric(2), 20):
-        assert (r.count, r.tuples_visited, r.states) == (2**19, 2**20, 21)
+    # 20 pair up; the stabilizer of the first point is trivial, so the
+    # root is the only node
+    r = count_orbits_all(FinPermGroup.symmetric(2), 20)
+    assert (r.count, r.tuples_visited, r.nodes, r.sifted) == (2**19, 2**20, 1, 0)
 
 
 def test_state_space_cap():
