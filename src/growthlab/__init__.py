@@ -16,7 +16,6 @@ from .graph_classes import (
     flipped_paths,
     graph_in_class,
     half_graph,
-    labelled_path_count,
     parse_class_spec,
     parse_graph,
     semi_induced_order,
@@ -36,7 +35,6 @@ from .orbit_oracle import (
     OrbitCount,
     count_orbits_all,
     count_orbits_injective,
-    stabilizer_bound_check,
     truncate_expr,
 )
 from .seq_core import (
@@ -99,14 +97,12 @@ __all__ = [
     "gap_verdict",
     "graph_in_class",
     "half_graph",
-    "labelled_path_count",
     "meet_trivial_pairs",
     "parse_class_spec",
     "parse_expr",
     "parse_graph",
     "parse_relation",
     "semi_induced_order",
-    "stabilizer_bound_check",
     "stirling_transform",
     "truncate_expr",
     "verify_coding_witness",

@@ -42,7 +42,6 @@ from .graph_classes import (
     semi_induced_order,
 )
 from .group_expr import (
-    CLASS_CELLULAR,
     classify,
     eval_lseq,
     format_expr,
@@ -52,7 +51,6 @@ from .group_expr import (
 from .orbit_oracle import DEFAULT_TUPLE_BUDGET, count_orbits_injective, truncate_expr
 from .seq_core import bell, bell2, meet_trivial_pairs, stirling_transform
 from .witness_search import (
-    STATUS_FOUND,
     STATUS_INDETERMINATE,
     STATUS_NONE,
     find_coding_witness,

@@ -10,8 +10,8 @@ class CapacityError(RuntimeError):
     """A configured resource cap was hit before the computation finished.
 
     Raised instead of returning a possibly wrong partial answer.  The
-    message names the cap (tuple budget, state space, element count,
-    backtracking nodes) and how far the computation got.
+    message names the cap (tuple budget, state space, backtracking
+    nodes) and how far the computation got.
     """
 
 

@@ -86,10 +86,6 @@ class Graph:
                 if self.adj[u] >> w & 1:
                     yield (u, w)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(bin(m).count("1") for m in self.adj)
-
-
 @dataclass(frozen=True)
 class FlipSpec:
     """A symmetric set of class pairs to complement between.
@@ -205,17 +201,6 @@ def flipped_paths(k: int, copies: int = 3, spec: FlipSpec | None = None) -> Grap
                     toggle(i * k + j, i2 * k + j2)
     colors = tuple(i for i in range(copies) for _ in range(k))
     return Graph(v, tuple(adj), colors)
-
-
-def labelled_path_count(k: int) -> int:
-    """Number of labelled graphs on [k] isomorphic to the k-vertex path.
-
-    Each of the k! vertex orders traces a path and exactly the reversed
-    order traces the same edge set, so the count is k!/2.
-    """
-    if k < 2:
-        raise ValueError("paths need at least two vertices")
-    return factorial(k) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ generator compose left to right.  An omitted gens list means the
 trivial group.
 
 eval_lseq computes the injective-tuple growth sequence by structural
-recursion on integers: orbit BFS at finite leaves, a binomial
+recursion on integers: stabilizer descent at finite leaves, a binomial
 convolution at products, and the exponential formula at wreath layers.
 classify sorts expressions into finite, cellular and msnc (infinite,
 every wreath layer over a finite domain, versus some wreath layer over
@@ -316,7 +316,7 @@ def eval_lseq(expr: GroupExpr, n_max: int) -> IntSeq:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return IntSeq(_expr_seq(expr, n_max).values, format_expr(expr))
+    return _expr_seq(expr, n_max)
 
 
 def gap_verdict(

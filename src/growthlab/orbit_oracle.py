@@ -44,8 +44,6 @@ settle, their weight times the tuples below them, so it ends at
 d (d - 1) ... (d - n + 1) or d^n.  The tuple budget is checked against
 it each time a node settles tuples, so a count raises CapacityError
 exactly when the tuples exceed the budget, never with a wrong count.
-Only stabilizer_bound_check enumerates group elements, under an element
-budget that raises CapacityError in the same way.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from operator import itemgetter
 from .errors import CapacityError
 
 DEFAULT_TUPLE_BUDGET = 10**7
-DEFAULT_ELEMENT_BUDGET = 10**6
 MAX_TUPLE_STATES = 1 << 28
 MAX_TRUNC_DEGREE = 4096
 
@@ -249,11 +246,13 @@ def _count_orbits(group: FinPermGroup, n: int, injective: bool, budget: int) -> 
         return OrbitCount(0, injective, 1, 0, 0, 0)
     if injective and n > group.degree:
         return OrbitCount(n, injective, 0, 0, 0, 0)
-    size = group.degree**n
+    # the tuples the count settles: perm(d, n) injective ones or d^n
+    if injective:
+        size, space = perm(group.degree, n), f"perm({group.degree}, {n})"
+    else:
+        size, space = group.degree**n, f"{group.degree}^{n}"
     if size > MAX_TUPLE_STATES:
-        raise CapacityError(
-            f"state space {group.degree}^{n} = {size} exceeds the cap {MAX_TUPLE_STATES}"
-        )
+        raise CapacityError(f"state space {space} = {size} exceeds the cap {MAX_TUPLE_STATES}")
     descent = _Descent(group.degree, n, injective, budget)
     # the generators that move a point, each once
     gens = list(dict.fromkeys(g for g in group.generators if g != descent.identity))
@@ -339,78 +338,3 @@ def truncate_expr(expr, m: int) -> FinPermGroup:
         return FinPermGroup(degree, tuple(gens))
     raise TypeError(f"not a group expression: {expr!r}")
 
-
-def _generate(gens, degree: int) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
-    """The generators that each enlarge the group generated so far, in
-    order, and the elements of the group they all generate."""
-    elements = {tuple(range(degree))}
-    kept: list[tuple[int, ...]] = []
-    for g in gens:
-        if g in elements:
-            continue
-        kept.append(g)
-        queue = list(elements)
-        while queue:
-            x = queue.pop()
-            for k in kept:
-                y = tuple([k[i] for i in x])
-                if y not in elements:
-                    elements.add(y)
-                    queue.append(y)
-    return kept, elements
-
-
-def _enumerate_elements(group: FinPermGroup, cap: int) -> list[tuple[int, ...]]:
-    identity = tuple(range(group.degree))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in group.generators:
-                prod = tuple(g[p] for p in e)
-                if prod not in elements:
-                    elements.add(prod)
-                    if len(elements) > cap:
-                        raise CapacityError(
-                            f"element budget {cap} exceeded while closing the group"
-                        )
-                    nxt.append(prod)
-        frontier = nxt
-    return sorted(elements)
-
-
-def stabilizer_bound_check(
-    group: FinPermGroup,
-    a: int,
-    n: int,
-    *,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-) -> bool:
-    """Check l_n(G_a) <= n * l_n(G) + l_{n+1}(G) for the point stabilizer.
-
-    Any orbit of the stabilizer of a on injective n-tuples either maps
-    into an orbit of G on injective (n+1)-tuples by appending a, or the
-    tuple already contains a in one of its n positions; hence the bound
-    whenever n + 1 points fit in the domain.
-
-    This is the one operation that enumerates group elements.  The
-    stabilizer's elements are taken in order and each is kept as a
-    generator only if the ones kept before do not generate it; that
-    closure stays inside the enumerated elements, so the element budget,
-    which applies here only, bounds it too.
-    """
-    if not 0 <= a < group.degree:
-        raise ValueError(f"point {a} outside domain of size {group.degree}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n + 1 > group.degree:
-        raise ValueError("need n + 1 points in the domain")
-    elements = _enumerate_elements(group, element_budget)
-    stab_gens, _ = _generate((e for e in elements if e[a] == a), group.degree)
-    stabilizer = FinPermGroup(group.degree, tuple(stab_gens))
-    l_n_stab = count_orbits_injective(stabilizer, n, budget=tuple_budget).count
-    l_n = count_orbits_injective(group, n, budget=tuple_budget).count
-    l_n1 = count_orbits_injective(group, n + 1, budget=tuple_budget).count
-    return l_n_stab <= n * l_n + l_n1

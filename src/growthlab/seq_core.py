@@ -42,7 +42,6 @@ class IntSeq:
     """
 
     values: tuple[int, ...]
-    label: str = ""
 
     def __post_init__(self):
         try:
@@ -146,8 +145,7 @@ def stirling_transform(l: IntSeq) -> IntSeq:
     for _ in range(1, len(u)):
         u = list(map(add, map(mul, u, count()), u[1:]))
         vals.append(u[0])
-    label = f"stirling_transform({l.label})" if l.label else ""
-    return IntSeq(tuple(vals), label)
+    return IntSeq(tuple(vals))
 
 
 def _top(values) -> int:

@@ -20,7 +20,7 @@ and share no machinery with the searchers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import DEFAULT_NODE_BUDGET, ParseError, numbered_lines
 

@@ -1,7 +1,7 @@
 """Expression DSL: parsing, formatting, classification, sequence evaluation."""
 from __future__ import annotations
 
-from math import comb
+from math import comb, perm
 
 import pytest
 
@@ -139,6 +139,16 @@ def test_pure_cells_lseq_is_constant_one():
 def test_finite_leaf_lseq():
     assert list(eval_lseq(parse_expr("(finite 3 full-sym)"), 5)) == [1, 1, 1, 1, 0, 0]
     assert list(eval_lseq(parse_expr("(finite 2)"), 4)) == [1, 2, 2, 0, 0]
+
+
+def test_leaves_of_degree_nine_and_ten_fit_the_state_space_cap():
+    # an injective count settles perm(d, n) tuples, 10! at most here,
+    # although 9^9 and 10^9 tuples of all kinds exceed the cap
+    assert list(eval_lseq(parse_expr("(finite 10)"), 11)) == [perm(10, n) for n in range(12)]
+    assert list(eval_lseq(parse_expr("(finite 9)"), 10)) == [perm(9, n) for n in range(11)]
+    assert list(eval_lseq(parse_expr("(finite 10 full-sym)"), 11)) == [1] * 11 + [0]
+    # partitions of [11] into blocks of at most 10 points
+    assert eval_lseq(parse_expr("(wr (finite 10 full-sym))"), 11)[11] == bell(11)[11] - 1
 
 
 def test_product_lseq_is_binomial_convolution():

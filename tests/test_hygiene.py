@@ -1,0 +1,50 @@
+"""Source hygiene: no module imports a name it never uses, and the
+package exports exactly the public names its __init__ binds."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import growthlab
+
+SRC = Path(growthlab.__file__).parent
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """The names the module's imports bind, with their lines."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def test_no_unused_module_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree).items() if name not in used]
+    assert unused == []
+
+
+def test_exports_match_the_names_init_binds():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    public = {name for name in bound if not name.startswith("_")}
+    exported = growthlab.__all__
+    assert len(exported) == len(set(exported))
+    assert set(exported) == public
+    for name in exported:
+        assert hasattr(growthlab, name), name

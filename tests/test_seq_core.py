@@ -20,11 +20,10 @@ import oracles
 
 
 def test_intseq_basic():
-    s = IntSeq((1, 1, 2), label="l")
+    s = IntSeq((1, 1, 2))
     assert len(s) == 3
     assert s[2] == 2
     assert list(s) == [1, 1, 2]
-    assert s.label == "l"
 
 
 def test_intseq_rejects_empty():
