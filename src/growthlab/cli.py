@@ -154,25 +154,23 @@ def _cmd_seq(args, rows, tel, config) -> int:
     if args.oracle_check:
         tel["oracle_nodes"] = 0
         tel["oracle_sifted"] = 0
-        top = min(args.max_n, ORACLE_CHECK_MAX_N)
-        if args.trunc_m is not None:
-            if args.trunc_m < 1:
-                raise ValueError("--trunc-m must be at least 1")
-            top = min(top, args.trunc_m)
+        top = min(args.max_n, ORACLE_CHECK_MAX_N, args.trunc_m or args.max_n)
+        counted = {}  # level m -> its orbit counts l_0..l_min(m, top)
         for n in range(1, top + 1):
-            levels = (n, n + 1) if args.trunc_m is None else (args.trunc_m, args.trunc_m + 1)
-            for m in levels:
-                group = truncate_expr(expr, m)
-                oc = count_orbits_injective(group, n, budget=args.budget_tuples)
-                tel["tuples_visited"] += oc.tuples_visited
-                tel["oracle_nodes"] += oc.nodes
-                tel["oracle_sifted"] += oc.sifted
-                ok = oc.count == lseq[n]
+            for m in (n, n + 1) if args.trunc_m is None else (args.trunc_m, args.trunc_m + 1):
+                if m not in counted:
+                    oc = count_orbits_injective(truncate_expr(expr, m), min(m, top), budget=args.budget_tuples)
+                    tel["tuples_visited"] += oc.tuples_visited
+                    tel["oracle_nodes"] += oc.nodes
+                    tel["oracle_sifted"] += oc.sifted
+                    counted[m] = oc.counts
+                value = counted[m][n]
+                ok = value == lseq[n]
                 rows.append(
                     {
                         "name": "oracle-l",
                         "n": n,
-                        "value": oc.count,
+                        "value": value,
                         "verdict": "match" if ok else "mismatch",
                         "oracle": {"trunc_m": m, "expected": lseq[n]},
                     }
@@ -251,6 +249,8 @@ def _parse_bfile(text: str) -> dict[int, int]:
             n, value = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"line {ln}: bad entry {line!r}", ln) from None
+        if n in entries:
+            raise ParseError(f"line {ln}: index {n} repeated", ln)
         entries[n] = value
     if not entries:
         raise ParseError("b-file holds no entries")
@@ -420,14 +420,19 @@ def _cmd_witness(args, rows, tel, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"budget must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
-    return value
+def _at_least_one(what: str):
+    """An argparse type for a positive integer, named in its errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,8 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--deterministic", action="store_true")
-    common.add_argument("--budget-tuples", type=_budget, default=DEFAULT_TUPLE_BUDGET, dest="budget_tuples")
-    common.add_argument("--budget-nodes", type=_budget, default=DEFAULT_NODE_BUDGET, dest="budget_nodes")
+    budget = _at_least_one("budget")
+    common.add_argument("--budget-tuples", type=budget, default=DEFAULT_TUPLE_BUDGET, dest="budget_tuples")
+    common.add_argument("--budget-nodes", type=budget, default=DEFAULT_NODE_BUDGET, dest="budget_nodes")
 
     parser = argparse.ArgumentParser(
         prog="growthlab",
@@ -447,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seq", parents=[common], help="growth-sequence prefix of an expression")
     p.add_argument("expr_file")
     p.add_argument("--max-n", type=int, default=8, dest="max_n")
-    p.add_argument("--trunc-m", type=int, default=None, dest="trunc_m")
+    p.add_argument("--trunc-m", type=_at_least_one("truncation level"), default=None, dest="trunc_m")
     p.add_argument("--oracle-check", action="store_true", dest="oracle_check")
 
     p = sub.add_parser("bounds", parents=[common], help="growth-bound verdicts")
@@ -479,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--lax", action="store_true")
     g = gsub.add_parser("fliproundtrip", parents=[common], help="flip recovery round trips")
     g.add_argument("--k", type=int, required=True)
-    g.add_argument("--seeds", type=int, default=20)
+    g.add_argument("--seeds", type=_at_least_one("trial count"), default=20)
     g.add_argument("--exhaustive", action="store_true")
 
     p = sub.add_parser("witness", parents=[common], help="order and coding witness searches")

@@ -9,9 +9,8 @@ DEFAULT_NODE_BUDGET = 10**7
 class CapacityError(RuntimeError):
     """A configured resource cap was hit before the computation finished.
 
-    Raised instead of returning a possibly wrong partial answer.  The
-    message names the cap (tuple budget, state space, backtracking
-    nodes) and how far the computation got.
+    Raised instead of a possibly wrong partial answer.  The message
+    names the cap and the stage that hit it.
     """
 
 

@@ -595,6 +595,10 @@ def _parse_graph_lines(lines: list[tuple[int, str]]) -> Graph:
                 u, c = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError(f"line {ln}: bad color line {line!r}", ln) from None
+            if not 0 <= u < v:
+                raise ParseError(f"line {ln}: colored vertex {u} outside 0..{v - 1}", ln)
+            if u in colors:
+                raise ParseError(f"line {ln}: vertex {u} colored twice", ln)
             colors[u] = c
             continue
         if len(parts) != 2:

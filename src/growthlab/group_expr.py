@@ -288,12 +288,7 @@ def format_expr(expr: GroupExpr) -> str:
 
 
 def _leaf_seq(group: FinPermGroup, n_max: int) -> IntSeq:
-    return IntSeq(
-        tuple(
-            count_orbits_injective(group, n).count if n <= group.degree else 0
-            for n in range(n_max + 1)
-        )
-    )
+    return IntSeq(count_orbits_injective(group, n_max).counts)
 
 
 def _expr_seq(expr: GroupExpr, n_max: int) -> IntSeq:

@@ -14,10 +14,9 @@ Descent.  A node holds the pointwise stabilizer H of a tuple prefix, by
 generators, and the free points: those outside the prefix, or all points
 for counts of all tuples (H fixes the prefix, so its points are then
 fixed points of H).  The node finds the orbits of H on the free points.
-Each orbit O is one child, whose prefix takes the first point x of O and
-whose weight, the number of prefixes it stands for, is the parent's
-times |O|.  Along the generator edges of O (its Schreier tree) the node
-builds, for every y in O, an element u_y that maps x to y.  By Schreier's
+Each orbit O is one child, whose prefix takes the first point x of O.
+Along the generator edges of O (its Schreier tree) the node builds,
+for every y in O, an element u_y that maps x to y.  By Schreier's
 lemma the elements u_y s u_{s(y)}^-1 (applied left to right), over y in
 O and generators s of H, generate H_x.  Sims' filter (Sims, Computational
 methods in the study of permutation groups, 1970; Seress, Permutation
@@ -25,25 +24,27 @@ Group Algorithms, 2003) keeps at most one of them per pair of first
 moved point i and its image: an element whose pair is taken is divided
 by the kept one, which leaves it fixing i and every point before i,
 until it is new or the identity.  So a node has at most d (d - 1) / 2
-generators on d points.  There is no array per state: each level of the
-descent holds its generators and, while it builds a child, one
-transversal of at most d elements, all permutations of the d points.
+generators on d points.  With r positions left, a node returns its
+orbits on j-tuples for j = 0..r, each the sum of its children's orbits
+on (j - 1)-tuples, so one descent to depth n counts every length up to
+n.  There is no array per state: each level of the descent holds its
+generators and, while it builds a child, one transversal of at most d
+elements, all permutations of the d points.
 
 Three rules keep the work small.  At the last position a node only
-counts the orbits.  A trivial H closes with the falling factorial
-perm(f, r) of its f free points and r positions, or d^r for counts of
-all tuples.  The free points that H fixes are one child, counted once
-per such point, because a permutation that swaps two of them commutes
-with H.  The work grows with the orbits of the prefixes, not with the
-number of tuples or sets of points.
+counts the orbits.  A trivial H closes with the falling factorials
+perm(f, j) of its f free points, or d^j for counts of all tuples.  The
+free points that H fixes are one child, counted once per such point,
+because a permutation that swaps two of them commutes with H.  The
+work grows with the orbits of the prefixes, not with the number of
+tuples or sets of points.
 
 Telemetry.  OrbitCount.nodes counts the stabilizers whose orbits were
 computed and OrbitCount.sifted the Schreier elements put through the
-filter.  OrbitCount.tuples_visited counts the tuples the closed nodes
-settle, their weight times the tuples below them, so it ends at
-d (d - 1) ... (d - n + 1) or d^n.  The tuple budget is checked against
-it each time a node settles tuples, so a count raises CapacityError
-exactly when the tuples exceed the budget, never with a wrong count.
+filter.  The tuple budget caps perm(d, t), or d^t for all tuples, with
+t the depth of the descent: a count over budget raises CapacityError
+before it starts, never with a wrong count.  This caps the size of the
+tuple space, not the work of the descent.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from operator import itemgetter
 from .errors import CapacityError
 
 DEFAULT_TUPLE_BUDGET = 10**7
-MAX_TUPLE_STATES = 1 << 28
 MAX_TRUNC_DEGREE = 4096
 
 
@@ -99,28 +99,22 @@ class FinPermGroup:
 class OrbitCount:
     """Result of one orbit count, with telemetry.
 
-    ``tuples_visited`` is the number of tuples the count settled, all
-    d (d - 1) ... (d - n + 1) injective or d^n tuples once it is done;
-    ``nodes`` the number of stabilizers whose orbits it computed and
-    ``sifted`` the number of Schreier elements it put through Sims'
-    filter.  All three are deterministic for a given group, n and
-    injectivity flag.
+    ``counts`` holds the orbits on k-tuples for k = 0..n, ``count`` is
+    counts[n] and ``tuples_visited`` the n-tuples counted, perm(d, n)
+    or d^n (0 for n = 0).  ``nodes`` and ``sifted`` are the stabilizers
+    expanded and the Schreier elements sifted.  All are deterministic.
     """
 
     n: int
     injective: bool
-    count: int
+    counts: tuple[int, ...]
     tuples_visited: int
     nodes: int
     sifted: int
 
-
-def _budget_error(budget: int, total: int, domain: int, n: int, injective: bool) -> CapacityError:
-    kind = "injective" if injective else "all"
-    return CapacityError(
-        f"tuple budget {budget} exceeded after visiting {total} tuples"
-        f" (orbits on {kind} {n}-tuples of degree {domain})"
-    )
+    @property
+    def count(self) -> int:
+        return self.counts[self.n]
 
 
 def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
@@ -133,26 +127,17 @@ def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
 class _Descent:
     """One count: its constants, its counters, and the descent itself."""
 
-    def __init__(self, degree: int, n: int, injective: bool, budget: int):
+    def __init__(self, degree: int, injective: bool):
         self.degree = degree
-        self.n = n
         self.injective = injective
-        self.budget = budget
         self.identity = tuple(range(degree))
-        self.tuples = self.nodes = self.sifted = 0
+        self.nodes = self.sifted = 0
 
-    def settle(self, tuples: int) -> None:
-        self.tuples += tuples
-        if self.tuples > self.budget:
-            raise _budget_error(self.budget, self.tuples, self.degree, self.n, self.injective)
-
-    def descend(self, gens: list, free: list[int], r: int, weight: int) -> int:
-        """Orbits of H, generated by gens, on the r-tuples that extend a
-        prefix (module docstring); weight prefixes settle with them."""
+    def descend(self, gens: list, free: list[int], r: int) -> list[int]:
+        """Orbits of H, generated by gens, on the j-tuples that extend a
+        prefix (module docstring), for j = 0..r."""
         if not gens:
-            closed = perm(len(free), r) if self.injective else self.degree**r
-            self.settle(weight * closed)
-            return closed
+            return [perm(len(free), j) if self.injective else self.degree**j for j in range(r + 1)]
         self.nodes += 1
         seen = set()
         orbits = []
@@ -169,20 +154,21 @@ class _Descent:
                         orbit.append(z)
             orbits.append(orbit)
         if r == 1:
-            self.settle(weight * len(free))
-            return len(orbits)
-        total = 0
+            return [1, len(orbits)]
+        counts = [1] + [0] * r
         fixed = []
         for orbit in orbits:
             x = orbit[0]
             if len(orbit) == 1:
                 fixed.append(x)
-            else:
-                total += self.descend(self.stabilizer(gens, x), self.after(free, x), r - 1, weight * len(orbit))
+                continue
+            for j, c in enumerate(self.descend(self.stabilizer(gens, x), self.after(free, x), r - 1), 1):
+                counts[j] += c
         if fixed:
             # H_x = H for each fixed x, and the children of all of them agree
-            total += len(fixed) * self.descend(gens, self.after(free, fixed[0]), r - 1, weight * len(fixed))
-        return total
+            for j, c in enumerate(self.descend(gens, self.after(free, fixed[0]), r - 1), 1):
+                counts[j] += len(fixed) * c
+        return counts
 
     def after(self, free: list[int], x: int) -> list[int]:
         """The free points of a child whose prefix takes x."""
@@ -243,21 +229,22 @@ def _count_orbits(group: FinPermGroup, n: int, injective: bool, budget: int) -> 
     if n < 0:
         raise ValueError("tuple length must be non-negative")
     if n == 0:
-        return OrbitCount(0, injective, 1, 0, 0, 0)
-    if injective and n > group.degree:
-        return OrbitCount(n, injective, 0, 0, 0, 0)
-    # the tuples the count settles: perm(d, n) injective ones or d^n
-    if injective:
-        size, space = perm(group.degree, n), f"perm({group.degree}, {n})"
-    else:
-        size, space = group.degree**n, f"{group.degree}^{n}"
-    if size > MAX_TUPLE_STATES:
-        raise CapacityError(f"state space {space} = {size} exceeds the cap {MAX_TUPLE_STATES}")
-    descent = _Descent(group.degree, n, injective, budget)
+        return OrbitCount(0, injective, (1,), 0, 0, 0)
+    d = group.degree
+    # the tuples at the depth t the descent reaches; none are injective past d
+    t = min(n, d) if injective else n
+    size, space = (perm(d, t), f"perm({d}, {t})") if injective else (d**n, f"{d}^{n}")
+    if size > budget:
+        raise CapacityError(
+            f"tuple budget {budget} exceeded by {space} = {size} tuples"
+            f" (orbits on {'injective' if injective else 'all'} {n}-tuples of degree {d})"
+        )
+    descent = _Descent(d, injective)
     # the generators that move a point, each once
     gens = list(dict.fromkeys(g for g in group.generators if g != descent.identity))
-    found = descent.descend(gens, list(range(group.degree)), n, 1)
-    return OrbitCount(n, injective, found, descent.tuples, descent.nodes, descent.sifted)
+    counts = descent.descend(gens, list(range(d)), t) + [0] * (n - t)
+    tuples = perm(d, n) if injective else size
+    return OrbitCount(n, injective, tuple(counts), tuples, descent.nodes, descent.sifted)
 
 
 def count_orbits_injective(
@@ -266,9 +253,10 @@ def count_orbits_injective(
     *,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> OrbitCount:
-    """Orbits of the generated group on injective n-tuples.
+    """Orbits of the generated group on injective k-tuples, k = 0..n.
 
-    1 for n = 0 and 0 for n above the degree, both without search.
+    1 for n = 0 without search.  Above the degree d the search stops at
+    depth d, and the budget caps perm(d, d); the counts above d are 0.
     """
     return _count_orbits(group, n, True, budget)
 
@@ -279,7 +267,7 @@ def count_orbits_all(
     *,
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> OrbitCount:
-    """Orbits of the generated group on all n-tuples."""
+    """Orbits of the generated group on all k-tuples, k = 0..n."""
     return _count_orbits(group, n, False, budget)
 
 

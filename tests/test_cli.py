@@ -104,13 +104,24 @@ def test_seq_capacity_exit(tmp_path):
 
 
 def test_seq_capacity_names_the_stage():
-    # the visit count in the message depends on visit order; only the
-    # budget and the stage are pinned
+    # level m = 2 of (wr (wr (finite 1))) acts on 4 points and is counted
+    # to depth 2; the budget is checked before the count starts
     proc = run_cli("seq", E_REL, "--max-n", "4", "--oracle-check", "--budget-tuples", "5")
     assert proc.returncode == 3
     capacity = json.loads(proc.stdout)["telemetry"]["capacity"]
-    assert capacity.startswith("tuple budget 5 exceeded after visiting ")
-    assert capacity.endswith("(orbits on injective 2-tuples of degree 4)")
+    assert capacity == "tuple budget 5 exceeded by perm(4, 2) = 12 tuples (orbits on injective 2-tuples of degree 4)"
+
+
+def test_seq_oracle_check_keeps_its_rows_at_the_default_budget():
+    # level m = 6 acts on 36 points; its count to depth 5 is over the
+    # default budget, and the rows of levels 1..5 are still emitted
+    proc = run_cli("seq", E_REL, "--max-n", "6", "--oracle-check")
+    assert proc.returncode == 3
+    env = json.loads(proc.stdout)
+    assert "perm(36, 5) = 45239040" in env["telemetry"]["capacity"]
+    oracle = rows_by_name(env, "oracle-l")
+    assert len(oracle) == 9
+    assert all(r["verdict"] == "match" for r in oracle)
 
 
 @pytest.mark.parametrize(
@@ -122,6 +133,13 @@ def test_budget_below_one_is_input_error(flag, value):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"argument {flag}: budget must be at least 1, got {value}" in proc.stderr
+
+
+def test_trunc_m_below_one_is_input_error_without_the_oracle_check():
+    proc = run_cli("seq", E_REL, "--max-n", "4", "--trunc-m", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --trunc-m: truncation level must be at least 1, got 0" in proc.stderr
 
 
 def test_oracle_check_reports_bfs_levels_deterministically():
@@ -277,6 +295,15 @@ def test_oeis_requires_seq_or_expr():
     assert proc.returncode == 2
 
 
+def test_oeis_repeated_bfile_index_is_input_error(tmp_path):
+    bfile = tmp_path / "b_repeated.txt"
+    bfile.write_text("0 1\n1 1\n1 2\n")
+    proc = run_cli("oeis", "--seq", "bell", "--bfile", str(bfile), "--max-n", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "line 3: index 1 repeated" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -355,6 +382,14 @@ def test_graphs_fliproundtrip_random():
     assert code == 0
     summary = rows_by_name(env, "summary")
     assert summary and summary[0]["value"] == "0"
+
+
+@pytest.mark.parametrize("seeds", ["0", "-4"])
+def test_graphs_fliproundtrip_seeds_below_one_is_input_error(seeds):
+    proc = run_cli("graphs", "fliproundtrip", "--k", "5", "--seeds", seeds)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument --seeds: trial count must be at least 1, got {seeds}" in proc.stderr
 
 
 def test_graphs_fliproundtrip_exhaustive():

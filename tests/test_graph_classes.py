@@ -381,6 +381,20 @@ def test_parse_graph_reports_line_of_error():
     assert exc_info.value.position == 2
 
 
+def test_parse_graph_rejects_a_color_outside_the_vertices():
+    with pytest.raises(ParseError) as exc_info:
+        parse_graph("v=3\n0 1\ncolor 0 1\ncolor 1 1\ncolor 2 1\ncolor 9 1\n")
+    assert exc_info.value.position == 6
+    assert "outside 0..2" in str(exc_info.value)
+
+
+def test_parse_graph_rejects_a_vertex_colored_twice():
+    with pytest.raises(ParseError) as exc_info:
+        parse_graph("v=2\n0 1\ncolor 0 1\ncolor 1 2\ncolor 0 3\n")
+    assert exc_info.value.position == 5
+    assert "colored twice" in str(exc_info.value)
+
+
 def test_parse_class_spec_blocks(data_dir):
     spec = parse_class_spec((data_dir / "p3_k3.classes").read_text(), MODE_GENERATORS)
     assert spec.mode == MODE_GENERATORS

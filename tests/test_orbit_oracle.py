@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from growthlab import CapacityError, FinPermGroup, Finite
 from growthlab import count_orbits_all, count_orbits_injective, parse_expr
 from growthlab import truncate_expr
-from growthlab.orbit_oracle import MAX_TRUNC_DEGREE, MAX_TUPLE_STATES
+from growthlab.orbit_oracle import DEFAULT_TUPLE_BUDGET, MAX_TRUNC_DEGREE
 
 import oracles
 
@@ -191,6 +191,9 @@ def test_random_groups_match_the_set_search(g, n, injective):
     r = count(g, n)
     want = oracles.orbit_count_by_sets(g.generators, g.degree, n, injective=injective)
     assert (r.count, r.tuples_visited) == want
+    # one descent counts every shorter length too
+    for k in range(n + 1):
+        assert r.counts[k] == oracles.orbit_count_by_sets(g.generators, g.degree, k, injective=injective)[0], k
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +231,8 @@ def test_random_generators_match_brute(g, n, injective):
     want = oracles.brute_orbit_count(g.generators, g.degree, n, injective=injective)
     r = count(g, n)
     assert r.count == want
+    for k in range(n + 1):
+        assert r.counts[k] == oracles.brute_orbit_count(g.generators, g.degree, k, injective=injective), k
     if n:
         assert r.tuples_visited == (perm(g.degree, n) if injective else g.degree**n)
 
@@ -300,8 +305,8 @@ def test_tuple_budget_exhaustion_raises():
 
 
 def test_tuple_budget_exhaustion_inside_the_frontier_raises():
-    # S_6 has one orbit of 120 injective triples: the budget runs out
-    # when the S_4 node at the last position settles all 120 of them.
+    # S_6 has one orbit of 120 injective triples, more than the budget,
+    # so the count raises before its descent starts
     with pytest.raises(CapacityError):
         count_orbits_injective(FinPermGroup.symmetric(6), 3, budget=50)
 
@@ -309,9 +314,7 @@ def test_tuple_budget_exhaustion_inside_the_frontier_raises():
 def test_tuple_budget_error_names_its_stage():
     with pytest.raises(CapacityError) as err:
         count_orbits_all(FinPermGroup.symmetric(6), 3, budget=50)
-    message = str(err.value)
-    assert message.startswith("tuple budget 50 exceeded after visiting ")
-    assert message.endswith("(orbits on all 3-tuples of degree 6)")
+    assert str(err.value) == "tuple budget 50 exceeded by 6^3 = 216 tuples (orbits on all 3-tuples of degree 6)"
 
 
 def test_small_budget_on_a_large_state_space_fails_fast():
@@ -335,7 +338,7 @@ def test_all_tuples_of_many_positions():
 
 def test_state_space_cap():
     big = FinPermGroup.trivial(1000)
-    assert perm(1000, 4) > MAX_TUPLE_STATES
+    assert perm(1000, 4) > DEFAULT_TUPLE_BUDGET
     with pytest.raises(CapacityError):
         count_orbits_injective(big, 4)
 
