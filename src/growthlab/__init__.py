@@ -29,13 +29,13 @@ from .group_expr import (
     format_expr,
     gap_verdict,
     parse_expr,
+    truncate_expr,
 )
 from .orbit_oracle import (
     FinPermGroup,
     OrbitCount,
     count_orbits_all,
     count_orbits_injective,
-    truncate_expr,
 )
 from .seq_core import (
     BoundReport,

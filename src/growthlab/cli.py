@@ -47,8 +47,9 @@ from .group_expr import (
     format_expr,
     gap_verdict,
     parse_expr,
+    truncate_expr,
 )
-from .orbit_oracle import DEFAULT_TUPLE_BUDGET, count_orbits_injective, truncate_expr
+from .orbit_oracle import DEFAULT_TUPLE_BUDGET, count_orbits_injective
 from .seq_core import bell, bell2, meet_trivial_pairs, stirling_transform
 from .witness_search import (
     STATUS_INDETERMINATE,
@@ -121,13 +122,11 @@ def _emit(envelope: dict, args) -> None:
 
 
 def _common_config(args) -> dict:
-    return {
-        "format": args.format,
-        "seed": args.seed,
-        "deterministic": args.deterministic,
-        "budget_tuples": args.budget_tuples,
-        "budget_nodes": args.budget_nodes,
-    }
+    config = {"format": args.format, "seed": args.seed, "deterministic": args.deterministic}
+    for budget in ("budget_tuples", "budget_nodes"):
+        if hasattr(args, budget):
+            config[budget] = getattr(args, budget)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +143,7 @@ def _cmd_seq(args, rows, tel, config) -> int:
         config["trunc_m"] = args.trunc_m
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
-    lseq = eval_lseq(expr, args.max_n)
+    lseq = eval_lseq(expr, args.max_n, budget=args.budget_tuples)
     sseq = stirling_transform(lseq)
     for n in range(args.max_n + 1):
         rows.append({"name": "l", "n": n, "value": lseq[n]})
@@ -217,7 +216,9 @@ def _cmd_bounds(args, rows, tel, config) -> int:
         )
         return EXIT_OK
     rows.append({"name": "classification", "verdict": label})
-    reports = gap_verdict(expr, args.max_n, cell_grid=cell_grid, c_grid=c_grid)
+    reports = gap_verdict(
+        expr, args.max_n, cell_grid=cell_grid, c_grid=c_grid, budget=args.budget_tuples
+    )
     code = EXIT_OK
     for rep in reports:
         row = {
@@ -276,7 +277,7 @@ def _cmd_oeis(args, rows, tel, config) -> int:
         expr = parse_expr(Path(args.expr_file).read_text())
         config["expr"] = format_expr(expr)
         config["use_s"] = args.use_s
-        seq = eval_lseq(expr, args.max_n)
+        seq = eval_lseq(expr, args.max_n, budget=args.budget_tuples)
         if args.use_s:
             seq = stirling_transform(seq)
 
@@ -333,25 +334,28 @@ def _cmd_graphs(args, rows, tel, config) -> int:
         rows.append({"name": "semi_induced_order", "value": value})
         return EXIT_OK
 
-    # fliproundtrip
-    config["k"] = args.k
-    config["copies"] = 3
+    # fliproundtrip: one node per trial, all counted before the first runs
+    k = config["k"] = args.k
+    clean = flipped_paths(k)
     if args.exhaustive:
         config["exhaustive"] = True
-        all_pairs = [(i, j) for i in range(args.k) for j in range(i, args.k)]
-        specs = [
-            FlipSpec.from_pairs(args.k, [p for t, p in enumerate(all_pairs) if bits >> t & 1])
-            for bits in range(1 << len(all_pairs))
-        ]
+        all_pairs = [(i, j) for i in range(k) for j in range(i, k)]
+        trials = 1 << len(all_pairs)
+        specs = (
+            FlipSpec.from_pairs(k, [p for t, p in enumerate(all_pairs) if bits >> t & 1])
+            for bits in range(trials)
+        )
     else:
-        config["seeds"] = args.seeds
+        trials = config["seeds"] = args.seeds
         rng = random.Random(args.seed)
-        specs = [FlipSpec.random(args.k, rng) for _ in range(args.seeds)]
-    clean = flipped_paths(args.k)
+        specs = (FlipSpec.random(k, rng) for _ in range(trials))
+    if trials > args.budget_nodes:
+        raise CapacityError(f"{trials} flip round trips: node budget {args.budget_nodes} exceeded")
+    tel["nodes"] += trials
     failures = 0
     for idx, spec in enumerate(specs):
         try:
-            recovered = flip_recover(flipped_paths(args.k, 3, spec))
+            recovered = flip_recover(flipped_paths(k, spec))
             ok = recovered.adj == clean.adj and recovered.colors == clean.colors
         except ValueError:
             ok = False
@@ -370,7 +374,7 @@ def _cmd_graphs(args, rows, tel, config) -> int:
             "name": "summary",
             "value": failures,
             "verdict": "pass" if failures == 0 else "fail",
-            "detail": f"{len(specs)} trials",
+            "detail": f"{trials} trials",
         }
     )
     return EXIT_OK if failures == 0 else EXIT_NEGATIVE
@@ -383,16 +387,12 @@ def _cmd_witness(args, rows, tel, config) -> int:
     config["size"] = args.size
     if args.size < 1:
         raise ValueError("--size must be at least 1")
-    if args.kind == "tuplecoding":
-        if args.k is None:
-            raise ValueError("tuplecoding needs --k")
-        config["k"] = args.k
-    elif args.k is not None:
-        raise ValueError(f"--k only applies to tuplecoding, not {args.kind}")
     if args.kind == "order":
+        if args.k is not None:
+            raise ValueError("--k only applies to coding, not order")
         result = find_order_witness(rel, args.size, node_budget=args.budget_nodes)
     else:
-        k = 1 if args.kind == "coding" else args.k
+        k = config["k"] = 1 if args.k is None else args.k
         result = find_coding_witness(rel, args.size, k, node_budget=args.budget_nodes)
     tel["nodes"] += result.nodes
     rows.append({"name": "search", "verdict": result.status})
@@ -441,8 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--deterministic", action="store_true")
     budget = _at_least_one("budget")
-    common.add_argument("--budget-tuples", type=budget, default=DEFAULT_TUPLE_BUDGET, dest="budget_tuples")
-    common.add_argument("--budget-nodes", type=budget, default=DEFAULT_NODE_BUDGET, dest="budget_nodes")
+    tuples = argparse.ArgumentParser(add_help=False, parents=[common])
+    tuples.add_argument("--budget-tuples", type=budget, default=DEFAULT_TUPLE_BUDGET, dest="budget_tuples")
+    nodes = argparse.ArgumentParser(add_help=False, parents=[common])
+    nodes.add_argument("--budget-nodes", type=budget, default=DEFAULT_NODE_BUDGET, dest="budget_nodes")
 
     parser = argparse.ArgumentParser(
         prog="growthlab",
@@ -450,18 +452,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("seq", parents=[common], help="growth-sequence prefix of an expression")
+    p = sub.add_parser("seq", parents=[tuples], help="growth-sequence prefix of an expression")
     p.add_argument("expr_file")
     p.add_argument("--max-n", type=int, default=8, dest="max_n")
     p.add_argument("--trunc-m", type=_at_least_one("truncation level"), default=None, dest="trunc_m")
     p.add_argument("--oracle-check", action="store_true", dest="oracle_check")
 
-    p = sub.add_parser("bounds", parents=[common], help="growth-bound verdicts")
+    p = sub.add_parser("bounds", parents=[tuples], help="growth-bound verdicts")
     p.add_argument("expr_file")
     p.add_argument("--max-n", type=int, default=30, dest="max_n")
     p.add_argument("--grid", default=None)
 
-    p = sub.add_parser("oeis", parents=[common], help="compare a sequence against a b-file")
+    p = sub.add_parser("oeis", parents=[tuples], help="compare a sequence against a b-file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--seq",
@@ -476,20 +478,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graphs", help="hereditary class and half-graph tools")
     gsub = p.add_subparsers(dest="graphs_command", required=True)
-    g = gsub.add_parser("count", parents=[common], help="labelled members on n vertices")
+    g = gsub.add_parser("count", parents=[nodes], help="labelled members on n vertices")
     g.add_argument("--class-file", required=True, dest="class_file")
     g.add_argument("--mode", choices=("generators", "forbidden"), required=True)
     g.add_argument("--n", type=int, required=True)
-    g = gsub.add_parser("semiinduced", parents=[common], help="largest semi-induced half-graph")
+    g = gsub.add_parser("semiinduced", parents=[nodes], help="largest semi-induced half-graph")
     g.add_argument("--graph-file", required=True, dest="graph_file")
     g.add_argument("--lax", action="store_true")
-    g = gsub.add_parser("fliproundtrip", parents=[common], help="flip recovery round trips")
+    g = gsub.add_parser("fliproundtrip", parents=[nodes], help="flip recovery round trips")
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--seeds", type=_at_least_one("trial count"), default=20)
     g.add_argument("--exhaustive", action="store_true")
 
-    p = sub.add_parser("witness", parents=[common], help="order and coding witness searches")
-    p.add_argument("kind", choices=("order", "coding", "tuplecoding"))
+    p = sub.add_parser("witness", parents=[nodes], help="order and coding witness searches")
+    p.add_argument("kind", choices=("order", "coding"))
     p.add_argument("rel_file")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--k", type=int, default=None)

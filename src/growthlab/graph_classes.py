@@ -162,45 +162,41 @@ def half_graph(t: int) -> Graph:
     )
 
 
-def flipped_paths(k: int, copies: int = 3, spec: FlipSpec | None = None) -> Graph:
-    """Disjoint paths of length k with classes complemented per spec.
+def flipped_paths(k: int, spec: FlipSpec | None = None) -> Graph:
+    """Three disjoint paths of length k with classes complemented per spec.
 
-    Vertex (path i, position j) is i*k + j; the base graph is ``copies``
-    disjoint paths on positions 0..k-1, coloured by path index.  The
-    partition used for flips groups vertices by position, so class j is
-    {(i, j) : all i}; a spec pair (j, j') complements all edges between
-    class j and class j', and a diagonal pair (j, j) complements within
-    the class.
+    Vertex (path i, position j) is i*k + j; the base graph is three
+    disjoint paths on positions 0..k-1, coloured by path index, one path
+    per colour class of flip_recover.  The partition used for flips
+    groups vertices by position, so class j is {(i, j) : all i}; a spec
+    pair (j, j') complements all edges between class j and class j', and
+    a diagonal pair (j, j) complements within the class.
     """
     if k < 2:
         raise ValueError("paths need at least two vertices")
-    if not 1 <= copies <= 3:
-        raise ValueError("copies must be 1, 2 or 3")
     if spec is None:
         spec = FlipSpec(k, frozenset())
     if spec.t != k:
         raise ValueError(f"spec has {spec.t} classes but paths have {k} positions")
-    v = copies * k
-    adj = [0] * v
+    adj = [0] * (3 * k)
 
     def toggle(x: int, y: int) -> None:
         adj[x] ^= 1 << y
         adj[y] ^= 1 << x
 
-    for i in range(copies):
+    for i in range(3):
         for j in range(k - 1):
             toggle(i * k + j, i * k + j + 1)
     for j, j2 in spec.unordered():
         if j == j2:
-            for i in range(copies):
-                for i2 in range(i + 1, copies):
+            for i in range(3):
+                for i2 in range(i + 1, 3):
                     toggle(i * k + j, i2 * k + j)
         else:
-            for i in range(copies):
-                for i2 in range(copies):
+            for i in range(3):
+                for i2 in range(3):
                     toggle(i * k + j, i2 * k + j2)
-    colors = tuple(i for i in range(copies) for _ in range(k))
-    return Graph(v, tuple(adj), colors)
+    return Graph(3 * k, tuple(adj), tuple(i for i in range(3) for _ in range(k)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ convolution at products, and the exponential formula at wreath layers.
 classify sorts expressions into finite, cellular and msnc (infinite,
 every wreath layer over a finite domain, versus some wreath layer over
 an infinite one); the label is syntactic, which the command-line layer
-makes explicit.
+makes explicit.  truncate_expr turns an expression into the finite group
+that the truncation oracle counts orbits of.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence, Union
 
-from .errors import ParseError
-from .orbit_oracle import FinPermGroup, count_orbits_injective
+from .errors import CapacityError, ParseError
+from .orbit_oracle import DEFAULT_TUPLE_BUDGET, FinPermGroup, count_orbits_injective
 from .seq_core import (
     BoundReport,
     IntSeq,
@@ -54,6 +55,7 @@ DEFAULT_CELL_GRID: tuple[tuple[Fraction, Fraction], ...] = tuple(
 )
 #: default c grid for factorial-upper checks
 DEFAULT_C_GRID: tuple[Fraction, ...] = (Fraction(2),)
+MAX_TRUNC_DEGREE = 4096
 
 
 @dataclass(frozen=True)
@@ -287,31 +289,82 @@ def format_expr(expr: GroupExpr) -> str:
     raise TypeError(f"not a group expression: {expr!r}")
 
 
-def _leaf_seq(group: FinPermGroup, n_max: int) -> IntSeq:
-    return IntSeq(count_orbits_injective(group, n_max).counts)
+def truncate_expr(expr: GroupExpr, m: int) -> FinPermGroup:
+    """Finite stand-in for an expression: wreath layers become wreaths
+    with the symmetric group on m copies.
 
-
-def _expr_seq(expr: GroupExpr, n_max: int) -> IntSeq:
+    Finite leaves pass through; a product acts on the disjoint union of
+    its factors' domains; a wreath layer with base domain b yields the
+    group on b*m points (point p of copy c sits at c*b + p) generated by
+    the base generators on copy 0 plus a copy swap and a copy m-cycle.
+    Those copy permutations together with one embedded copy of the base
+    group generate the full wreath product.
+    """
+    if m < 1:
+        raise ValueError("truncation level m must be at least 1")
     if isinstance(expr, Finite):
-        return _leaf_seq(expr.group, n_max)
+        return expr.group
     if isinstance(expr, DirectProduct):
-        return reduce(binomial_convolution, (_expr_seq(f, n_max) for f in expr.factors))
+        parts = [truncate_expr(child, m) for child in expr.factors]
+        degree = sum(p.degree for p in parts)
+        if degree > MAX_TRUNC_DEGREE:
+            raise CapacityError(f"truncated domain {degree} exceeds cap {MAX_TRUNC_DEGREE}")
+        gens: list[tuple[int, ...]] = []
+        offset = 0
+        for part in parts:
+            for g in part.generators:
+                image = list(range(degree))
+                for p, q in enumerate(g):
+                    image[offset + p] = offset + q
+                gens.append(tuple(image))
+            offset += part.degree
+        return FinPermGroup(degree, tuple(gens))
     if isinstance(expr, WreathSomega):
-        return exp_shift(_expr_seq(expr.base, n_max))
+        base = truncate_expr(expr.base, m)
+        b = base.degree
+        degree = b * m
+        if degree > MAX_TRUNC_DEGREE:
+            raise CapacityError(f"truncated domain {degree} exceeds cap {MAX_TRUNC_DEGREE}")
+        gens = []
+        for g in base.generators:
+            image = list(range(degree))
+            for p, q in enumerate(g):
+                image[p] = q
+            gens.append(tuple(image))
+        if m >= 2:
+            swap = list(range(degree))
+            for p in range(b):
+                swap[p], swap[b + p] = b + p, p
+            gens.append(tuple(swap))
+        if m >= 3:
+            cycle = [((c + 1) % m) * b + p for c in range(m) for p in range(b)]
+            gens.append(tuple(cycle))
+        return FinPermGroup(degree, tuple(gens))
     raise TypeError(f"not a group expression: {expr!r}")
 
 
-def eval_lseq(expr: GroupExpr, n_max: int) -> IntSeq:
+def _expr_seq(expr: GroupExpr, n_max: int, budget: int) -> IntSeq:
+    if isinstance(expr, Finite):
+        return IntSeq(count_orbits_injective(expr.group, n_max, budget=budget).counts)
+    if isinstance(expr, DirectProduct):
+        return reduce(binomial_convolution, (_expr_seq(f, n_max, budget) for f in expr.factors))
+    if isinstance(expr, WreathSomega):
+        return exp_shift(_expr_seq(expr.base, n_max, budget))
+    raise TypeError(f"not a group expression: {expr!r}")
+
+
+def eval_lseq(expr: GroupExpr, n_max: int, *, budget: int = DEFAULT_TUPLE_BUDGET) -> IntSeq:
     """Injective-tuple growth sequence l_0..l_{n_max} of the expression.
 
     Exact for the group the expression generates.  Every step is an
     integer recurrence on prefixes of length n_max + 1: orbit counts at
     the leaves, binomial_convolution at products and exp_shift at
-    wreath layers.
+    wreath layers.  ``budget`` is the tuple budget of each leaf count
+    (count_orbits_injective); a leaf over it raises CapacityError.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return _expr_seq(expr, n_max)
+    return _expr_seq(expr, n_max, budget)
 
 
 def gap_verdict(
@@ -320,19 +373,21 @@ def gap_verdict(
     *,
     cell_grid: Sequence[tuple[Rational, Rational]] | None = None,
     c_grid: Sequence[Rational] | None = None,
+    budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> list[BoundReport]:
     """Classification-driven growth-bound checks on the l-prefix.
 
     finite expressions get no checks (their growth is eventually zero);
     cellular ones get a cellular-bound pass over the (c, d) grid; msnc
     ones get the Bell lower bound plus one factorial-upper check per c.
+    ``budget`` is the tuple budget of the leaf counts, as in eval_lseq.
     """
     if n_max < 10:
         raise ValueError("gap_verdict needs n_max of at least 10")
     kind = classify(expr)
     if kind == CLASS_FINITE:
         return []
-    seq = eval_lseq(expr, n_max)
+    seq = eval_lseq(expr, n_max, budget=budget)
     if kind == CLASS_CELLULAR:
         return [check_bounds(seq, "cellular-bound", grid=cell_grid or DEFAULT_CELL_GRID)]
     reports = [check_bounds(seq, "bell-lower")]

@@ -56,7 +56,6 @@ from operator import itemgetter
 from .errors import CapacityError
 
 DEFAULT_TUPLE_BUDGET = 10**7
-MAX_TRUNC_DEGREE = 4096
 
 
 @dataclass(frozen=True)
@@ -269,60 +268,4 @@ def count_orbits_all(
 ) -> OrbitCount:
     """Orbits of the generated group on all k-tuples, k = 0..n."""
     return _count_orbits(group, n, False, budget)
-
-
-def truncate_expr(expr, m: int) -> FinPermGroup:
-    """Finite stand-in for an expression: wreath layers become wreaths
-    with the symmetric group on m copies.
-
-    Finite leaves pass through; a product acts on the disjoint union of
-    its factors' domains; a wreath layer with base domain b yields the
-    group on b*m points (point p of copy c sits at c*b + p) generated by
-    the base generators on copy 0 plus a copy swap and a copy m-cycle.
-    Those copy permutations together with one embedded copy of the base
-    group generate the full wreath product.
-    """
-    from .group_expr import DirectProduct, Finite, WreathSomega
-
-    if m < 1:
-        raise ValueError("truncation level m must be at least 1")
-    if isinstance(expr, Finite):
-        return expr.group
-    if isinstance(expr, DirectProduct):
-        parts = [truncate_expr(child, m) for child in expr.factors]
-        degree = sum(p.degree for p in parts)
-        if degree > MAX_TRUNC_DEGREE:
-            raise CapacityError(f"truncated domain {degree} exceeds cap {MAX_TRUNC_DEGREE}")
-        gens: list[tuple[int, ...]] = []
-        offset = 0
-        for part in parts:
-            for g in part.generators:
-                image = list(range(degree))
-                for p, q in enumerate(g):
-                    image[offset + p] = offset + q
-                gens.append(tuple(image))
-            offset += part.degree
-        return FinPermGroup(degree, tuple(gens))
-    if isinstance(expr, WreathSomega):
-        base = truncate_expr(expr.base, m)
-        b = base.degree
-        degree = b * m
-        if degree > MAX_TRUNC_DEGREE:
-            raise CapacityError(f"truncated domain {degree} exceeds cap {MAX_TRUNC_DEGREE}")
-        gens = []
-        for g in base.generators:
-            image = list(range(degree))
-            for p, q in enumerate(g):
-                image[p] = q
-            gens.append(tuple(image))
-        if m >= 2:
-            swap = list(range(degree))
-            for p in range(b):
-                swap[p], swap[b + p] = b + p, p
-            gens.append(tuple(swap))
-        if m >= 3:
-            cycle = [((c + 1) % m) * b + p for c in range(m) for p in range(b)]
-            gens.append(tuple(cycle))
-        return FinPermGroup(degree, tuple(gens))
-    raise TypeError(f"not a group expression: {expr!r}")
 

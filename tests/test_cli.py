@@ -129,10 +129,29 @@ def test_seq_oracle_check_keeps_its_rows_at_the_default_budget():
     [("--budget-tuples", "-5"), ("--budget-tuples", "0"), ("--budget-nodes", "-1")],
 )
 def test_budget_below_one_is_input_error(flag, value):
-    proc = run_cli("seq", E_REL, "--max-n", "4", "--oracle-check", flag, value)
+    if flag == "--budget-tuples":
+        argv = ("seq", E_REL, "--max-n", "4", "--oracle-check")
+    else:
+        argv = ("witness", "order", LESS10, "--size", "2")
+    proc = run_cli(*argv, flag, value)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"argument {flag}: budget must be at least 1, got {value}" in proc.stderr
+
+
+@pytest.mark.parametrize("budget, code", [(None, 3), ("1000000000", 0)])
+def test_seq_leaf_counts_spend_the_tuple_budget(tmp_path, budget, code):
+    # the leaf of degree 11 counts perm(11, 11) = 39916800 tuples at n = 11
+    expr = tmp_path / "f11.expr"
+    expr.write_text("(finite 11)\n")
+    argv = ["seq", str(expr), "--max-n", "11"] + (["--budget-tuples", budget] if budget else [])
+    proc = run_cli(*argv)
+    assert proc.returncode == code
+    env = json.loads(proc.stdout)
+    if budget is None:
+        assert env["telemetry"]["capacity"].startswith("tuple budget 10000000 exceeded by perm(11, 11)")
+    else:
+        assert rows_by_name(env, "l")[11]["value"] == "39916800"
 
 
 def test_trunc_m_below_one_is_input_error_without_the_oracle_check():
@@ -206,6 +225,21 @@ def test_bounds_msnc_fails_at_20():
     env = json.loads(proc.stdout)
     fact = rows_by_name(env, "factorial-upper")
     assert fact and fact[0]["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("budget, code", [(None, 3), ("1000000000", 1)])
+def test_bounds_leaf_counts_spend_the_tuple_budget(tmp_path, budget, code):
+    expr = tmp_path / "w11.expr"
+    expr.write_text("(wr (finite 11))\n")
+    argv = ["bounds", str(expr)] + (["--budget-tuples", budget] if budget else [])
+    proc = run_cli(*argv)
+    assert proc.returncode == code
+    env = json.loads(proc.stdout)
+    cell = rows_by_name(env, "cellular-bound")
+    if budget is None:
+        assert "perm(11, 11)" in env["telemetry"]["capacity"] and not cell
+    else:
+        assert [(r["verdict"], r["first_fail"]) for r in cell] == [("fail", "2")]
 
 
 def test_bounds_finite_has_no_bounds(tmp_path):
@@ -396,6 +430,20 @@ def test_graphs_fliproundtrip_exhaustive():
     code, env = cli_json("graphs", "fliproundtrip", "--k", "3", "--exhaustive")
     assert code == 0
     assert rows_by_name(env, "summary")[0]["value"] == "0"
+    assert env["telemetry"]["nodes"] == "64"
+
+
+@pytest.mark.parametrize(
+    "trials, argv",
+    [("268435456", ("--k", "7", "--exhaustive")), ("100000000", ("--k", "3", "--seeds", "100000000"))],
+)
+def test_graphs_fliproundtrip_counts_its_trials_before_the_first(trials, argv):
+    # one node per trial against the default budget of 10^7, checked
+    # before any trial is built
+    code, env = cli_json("graphs", "fliproundtrip", *argv, timeout=30)
+    assert code == 3
+    assert env["results"] == []
+    assert env["telemetry"]["capacity"] == f"{trials} flip round trips: node budget 10000000 exceeded"
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +502,60 @@ def test_witness_indeterminate_exit():
     assert proc.returncode == 4
 
 
-def test_witness_tuplecoding_requires_k():
-    proc = run_cli("witness", "tuplecoding", PAIR9, "--size", "2")
-    assert proc.returncode == 2
+def test_witness_coding_with_pair_sides(tmp_path):
+    # arity 5 = 2 + 2 + 1: a 2 x 2 grid coded by pairs of points
+    rel = tmp_path / "pairs.rel"
+    xs, ys = [(0, 0), (1, 1)], [(0, 1), (1, 0)]
+    lines = ["a=4 r=5"] + [
+        " ".join(map(str, x + y + (2 * i + j,))) for i, x in enumerate(xs) for j, y in enumerate(ys)
+    ]
+    rel.write_text("\n".join(lines) + "\n")
+    code, env = cli_json("witness", "coding", str(rel), "--size", "2", "--k", "2")
+    assert code == 0
+    assert env["config"]["k"] == "2"
+    assert rows_by_name(env, "x_side")[0]["value"] == [["0", "0"], ["1", "1"]]
+    assert rows_by_name(env, "verified")[0]["verdict"] == "pass"
 
 
 def test_witness_k_rejected_outside_tuplecoding():
-    for kind, rel in (("coding", PAIR9), ("order", LESS10)):
-        proc = run_cli("witness", kind, rel, "--size", "2", "--k", "3")
-        assert proc.returncode == 2
-        assert "--k" in proc.stderr
-        assert not proc.stdout
+    proc = run_cli("witness", "order", LESS10, "--size", "2", "--k", "3")
+    assert proc.returncode == 2
+    assert "--k" in proc.stderr
+    assert not proc.stdout
+
+
+def half_graph_4_argv(tmp_path):
+    return ("graphs", "semiinduced", "--graph-file", str(half_graph_4_file(tmp_path)))
+
+
+#: each leaf subcommand, a small command line and the budget it spends
+BUDGET_OF_SUBCOMMAND = {
+    "seq": (lambda tmp: ("seq", E_REL, "--max-n", "3"), "--budget-tuples"),
+    "bounds": (lambda tmp: ("bounds", E_REL, "--max-n", "40"), "--budget-tuples"),
+    "oeis": (lambda tmp: ("oeis", "--seq", "bell", "--bfile", B110, "--max-n", "5"), "--budget-tuples"),
+    "graphs count": (
+        lambda tmp: ("graphs", "count", "--class-file", FORBID_K2, "--mode", "forbidden", "--n", "3"),
+        "--budget-nodes",
+    ),
+    "graphs semiinduced": (half_graph_4_argv, "--budget-nodes"),
+    "graphs fliproundtrip": (lambda tmp: ("graphs", "fliproundtrip", "--k", "3", "--seeds", "2"), "--budget-nodes"),
+    "witness": (lambda tmp: ("witness", "order", LESS10, "--size", "2"), "--budget-nodes"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUDGET_OF_SUBCOMMAND))
+def test_each_subcommand_takes_only_the_budget_it_spends(tmp_path, command):
+    make_argv, taken = BUDGET_OF_SUBCOMMAND[command]
+    argv = make_argv(tmp_path)
+    code, env = cli_json(*argv, taken, "1000", "--deterministic")
+    assert code == 0
+    assert env["command"] == command
+    budgets = {k: v for k, v in env["config"].items() if k.startswith("budget")}
+    assert budgets == {taken[2:].replace("-", "_"): "1000"}
+    other = "--budget-nodes" if taken == "--budget-tuples" else "--budget-tuples"
+    proc = run_cli(*argv, other, "1000")
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {other} 1000" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and the
-package exports exactly the public names its __init__ binds."""
+"""Source hygiene: no module imports a name it never uses, the package
+exports exactly the public names its __init__ binds, and the orbit
+counts sit below the expression layer."""
 from __future__ import annotations
 
 import ast
@@ -48,3 +49,16 @@ def test_exports_match_the_names_init_binds():
     assert set(exported) == public
     for name in exported:
         assert hasattr(growthlab, name), name
+
+
+def test_orbit_oracle_imports_nothing_from_the_expression_layer():
+    tree = ast.parse((SRC / "orbit_oracle.py").read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+            if node.level and not node.module:  # from . import group_expr
+                modules += [alias.name for alias in node.names]
+    assert [m for m in modules if m.split(".")[-1] == "group_expr"] == []

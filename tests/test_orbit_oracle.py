@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from growthlab import CapacityError, FinPermGroup, Finite
 from growthlab import count_orbits_all, count_orbits_injective, parse_expr
 from growthlab import truncate_expr
-from growthlab.orbit_oracle import DEFAULT_TUPLE_BUDGET, MAX_TRUNC_DEGREE
+from growthlab.group_expr import MAX_TRUNC_DEGREE
+from growthlab.orbit_oracle import DEFAULT_TUPLE_BUDGET
 
 import oracles
 
