@@ -385,8 +385,6 @@ def _cmd_witness(args, rows, tel, config) -> int:
     config["rel_file"] = args.rel_file
     config["kind"] = args.kind
     config["size"] = args.size
-    if args.size < 1:
-        raise ValueError("--size must be at least 1")
     if args.kind == "order":
         if args.k is not None:
             raise ValueError("--k only applies to coding, not order")
@@ -435,35 +433,35 @@ def _at_least_one(what: str):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--deterministic", action="store_true")
-    budget = _at_least_one("budget")
-    tuples = argparse.ArgumentParser(add_help=False, parents=[common])
-    tuples.add_argument("--budget-tuples", type=budget, default=DEFAULT_TUPLE_BUDGET, dest="budget_tuples")
-    nodes = argparse.ArgumentParser(add_help=False, parents=[common])
-    nodes.add_argument("--budget-nodes", type=budget, default=DEFAULT_NODE_BUDGET, dest="budget_nodes")
+def _add_shared(p: argparse.ArgumentParser, budget_flag: str, budget_default: int) -> None:
+    """The output flags every leaf subcommand takes, and the one budget
+    it spends."""
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--deterministic", action="store_true")
+    p.add_argument(budget_flag, type=_at_least_one("budget"), default=budget_default)
 
-    parser = argparse.ArgumentParser(
-        prog="growthlab",
-        description="Exact growth sequences, growth bounds and witness searches.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("seq", parents=[tuples], help="growth-sequence prefix of an expression")
+def _add_seq(sub) -> None:
+    p = sub.add_parser("seq", help="growth-sequence prefix of an expression")
+    _add_shared(p, "--budget-tuples", DEFAULT_TUPLE_BUDGET)
     p.add_argument("expr_file")
     p.add_argument("--max-n", type=int, default=8, dest="max_n")
     p.add_argument("--trunc-m", type=_at_least_one("truncation level"), default=None, dest="trunc_m")
     p.add_argument("--oracle-check", action="store_true", dest="oracle_check")
 
-    p = sub.add_parser("bounds", parents=[tuples], help="growth-bound verdicts")
+
+def _add_bounds(sub) -> None:
+    p = sub.add_parser("bounds", help="growth-bound verdicts")
+    _add_shared(p, "--budget-tuples", DEFAULT_TUPLE_BUDGET)
     p.add_argument("expr_file")
     p.add_argument("--max-n", type=int, default=30, dest="max_n")
     p.add_argument("--grid", default=None)
 
-    p = sub.add_parser("oeis", parents=[tuples], help="compare a sequence against a b-file")
+
+def _add_oeis(sub) -> None:
+    p = sub.add_parser("oeis", help="compare a sequence against a b-file")
+    _add_shared(p, "--budget-tuples", DEFAULT_TUPLE_BUDGET)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument(
         "--seq",
@@ -476,26 +474,91 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=12, dest="max_n")
     p.add_argument("--offset", type=int, default=None)
 
-    p = sub.add_parser("graphs", help="hereditary class and half-graph tools")
-    gsub = p.add_subparsers(dest="graphs_command", required=True)
-    g = gsub.add_parser("count", parents=[nodes], help="labelled members on n vertices")
+
+def _add_count(sub) -> None:
+    g = sub.add_parser("count", help="labelled members on n vertices")
+    _add_shared(g, "--budget-nodes", DEFAULT_NODE_BUDGET)
     g.add_argument("--class-file", required=True, dest="class_file")
     g.add_argument("--mode", choices=("generators", "forbidden"), required=True)
     g.add_argument("--n", type=int, required=True)
-    g = gsub.add_parser("semiinduced", parents=[nodes], help="largest semi-induced half-graph")
+
+
+def _add_semiinduced(sub) -> None:
+    g = sub.add_parser("semiinduced", help="largest semi-induced half-graph")
+    _add_shared(g, "--budget-nodes", DEFAULT_NODE_BUDGET)
     g.add_argument("--graph-file", required=True, dest="graph_file")
     g.add_argument("--lax", action="store_true")
-    g = gsub.add_parser("fliproundtrip", parents=[nodes], help="flip recovery round trips")
+
+
+def _add_fliproundtrip(sub) -> None:
+    g = sub.add_parser("fliproundtrip", help="flip recovery round trips")
+    _add_shared(g, "--budget-nodes", DEFAULT_NODE_BUDGET)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--seeds", type=_at_least_one("trial count"), default=20)
     g.add_argument("--exhaustive", action="store_true")
 
-    p = sub.add_parser("witness", parents=[nodes], help="order and coding witness searches")
+
+_GRAPHS_SUBCOMMANDS = {
+    "count": _add_count,
+    "semiinduced": _add_semiinduced,
+    "fliproundtrip": _add_fliproundtrip,
+}
+
+
+def _add_witness(sub) -> None:
+    p = sub.add_parser("witness", help="order and coding witness searches")
+    _add_shared(p, "--budget-nodes", DEFAULT_NODE_BUDGET)
     p.add_argument("kind", choices=("order", "coding"))
     p.add_argument("rel_file")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--size", type=_at_least_one("witness size"), required=True)
+    p.add_argument("--k", type=_at_least_one("side width"), default=None)
 
+
+_SUBCOMMANDS = {
+    "seq": _add_seq,
+    "bounds": _add_bounds,
+    "oeis": _add_oeis,
+    "graphs": _GRAPHS_SUBCOMMANDS,
+    "witness": _add_witness,
+}
+
+
+def _add_subcommands(parser: argparse.ArgumentParser, dest: str, adders: dict, words: list[str]) -> None:
+    """Give parser the subcommands in adders: only the one words[0]
+    names, when it names one, else all of them.  A lone subcommand gets
+    the metavar that lists every name, so the usage line in an error
+    reads as with all of them; an error that names the subcommand
+    itself (missing or invalid) occurs only without one.  A dict in
+    adders is the nested graphs group, narrowed in turn by words[1]."""
+    name = words[0] if words and words[0] in adders else None
+    if name is None:
+        sub = parser.add_subparsers(dest=dest, required=True)
+    else:
+        sub = parser.add_subparsers(dest=dest, required=True, metavar="{" + ",".join(adders) + "}")
+    for key in adders if name is None else [name]:
+        add = adders[key]
+        if isinstance(add, dict):
+            group = sub.add_parser(key, help="hereditary class and half-graph tools")
+            _add_subcommands(group, f"{key}_command", add, words[1:] if name else [])
+        else:
+            add(sub)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The growthlab argument parser.
+
+    Given the command line it will parse, it registers only the
+    subcommand (and graphs subcommand) that line names, so one command
+    builds two or three parsers rather than all twelve.  Without one,
+    or when its first word names no subcommand, it registers them all.
+    Either way a command line parses to the same Namespace and prints
+    the same help and errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="growthlab",
+        description="Exact growth sequences, growth bounds and witness searches.",
+    )
+    _add_subcommands(parser, "command", _SUBCOMMANDS, [] if argv is None else list(argv))
     return parser
 
 
@@ -509,7 +572,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     command = args.command
     if command == "graphs":
         command = f"graphs {args.graphs_command}"

@@ -27,6 +27,10 @@ from .errors import DEFAULT_NODE_BUDGET, CapacityError, ParseError, numbered_lin
 MODE_GENERATORS = "generators"
 MODE_FORBIDDEN = "forbidden"
 
+#: byte translation tables: _BIT_DIGITS[j] maps a byte to b"1" when its
+#: bit j is set and to b"0" otherwise
+_BIT_DIGITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -48,14 +52,21 @@ class Graph:
         if len(adj) != self.v:
             raise ValueError("adjacency list length differs from vertex count")
         full = (1 << self.v) - 1
+        # The bitsets as a v x width byte matrix: byte u // 8 of every row
+        # is one strided slice, and bit u % 8 of those bytes, spelled in
+        # binary digits, is the column of u.
+        width = (self.v + 7) // 8
+        matrix = b"".join((mask & full).to_bytes(width, "little") for mask in adj)
         for u, mask in enumerate(adj):
             if mask & ~full:
                 raise ValueError(f"adjacency of vertex {u} mentions vertices >= {self.v}")
             if mask >> u & 1:
                 raise ValueError(f"self-loop at vertex {u}")
-            for w in range(self.v):
-                if mask >> w & 1 and not adj[w] >> u & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {w}")
+            column = int(matrix[u >> 3 :: width].translate(_BIT_DIGITS[u & 7])[::-1], 2)
+            odd = mask & ~column  # the w adjacent to u whose adjacency lacks u
+            if odd:
+                w = (odd & -odd).bit_length() - 1
+                raise ValueError(f"asymmetric adjacency between {u} and {w}")
         object.__setattr__(self, "adj", adj)
         if self.colors is not None:
             colors = tuple(int(c) for c in self.colors)

@@ -20,6 +20,9 @@ and share no machinery with the searchers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import or_
 from typing import Union
 
 from .errors import DEFAULT_NODE_BUDGET, ParseError, numbered_lines
@@ -46,13 +49,18 @@ class FinRelation:
             raise ValueError("universe must be non-empty")
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
-        tuples = frozenset(tuple(int(v) for v in t) for t in self.tuples)
-        for t in tuples:
-            if len(t) != self.arity:
-                raise ValueError(f"tuple {t} has length {len(t)}, arity is {self.arity}")
-            for v in t:
-                if not 0 <= v < self.universe:
-                    raise ValueError(f"tuple {t} leaves the universe 0..{self.universe - 1}")
+        tuples = frozenset(tuple(map(int, t)) for t in self.tuples)
+        values = list(chain.from_iterable(tuples))
+        # bulk checks; the loop runs only to name the first bad tuple
+        if set(map(len, tuples)) - {self.arity} or values and not (
+            0 <= min(values) <= max(values) < self.universe
+        ):
+            for t in tuples:
+                if len(t) != self.arity:
+                    raise ValueError(f"tuple {t} has length {len(t)}, arity is {self.arity}")
+                for v in t:
+                    if not 0 <= v < self.universe:
+                        raise ValueError(f"tuple {t} leaves the universe 0..{self.universe - 1}")
         object.__setattr__(self, "tuples", tuples)
 
 
@@ -293,18 +301,19 @@ def find_coding_witness(
         raise ValueError(f"width-{k} coding witnesses need arity {2 * k + 1}, got {rel.arity}")
     if m < 1:
         raise ValueError("witness size must be at least 1")
-    xs_pool = sorted({t[:k] for t in rel.tuples})
-    ys_pool = sorted({t[k : 2 * k] for t in rel.tuples})
+    by_sides: dict[tuple[int, ...], int] = {}  # the fiber over each 2k-prefix
+    for t in rel.tuples:
+        sides = t[: 2 * k]
+        by_sides[sides] = by_sides.get(sides, 0) | 1 << t[2 * k]
+    xs_pool = sorted({s[:k] for s in by_sides})
+    ys_pool = sorted({s[k:] for s in by_sides})
     if len(xs_pool) < m or len(ys_pool) < m:
         return SearchResult(STATUS_NONE, None, 0)
     x_index = {x: i for i, x in enumerate(xs_pool)}
     y_index = {y: i for i, y in enumerate(ys_pool)}
-    fiber: dict[tuple[int, int], int] = {}
-    zall = 0  # the union of all fibers
-    for t in rel.tuples:
-        key = x_index[t[:k]], y_index[t[k : 2 * k]]
-        fiber[key] = fiber.get(key, 0) | 1 << t[2 * k]
-        zall |= 1 << t[2 * k]
+    # fibers keyed by pairs of pool indices, and their union
+    fiber = {(x_index[s[:k]], y_index[s[k:]]): mask for s, mask in by_sides.items()}
+    zall = reduce(or_, fiber.values(), 0)
     x_img = [0] * m
     y_img = [0] * m
     nodes = 0
@@ -383,11 +392,21 @@ def find_coding_witness(
 def parse_relation(text: str) -> FinRelation:
     """Parse a relation file: a header line 'a=<size> r=<arity>', then
     one tuple of integers per line.  '#' comments and blank lines are
-    skipped."""
-    lines = numbered_lines(text)
-    if not lines:
+    skipped.
+
+    The tuple lines are validated in one pass: each is split, and
+    FinRelation converts its entries to integers and checks the entry
+    counts and the least and greatest entry of all of them at once.
+    Only when that pass fails are the lines scanned one by one, so that
+    the error names the first bad line and what is wrong with it.
+    """
+    lines = text.splitlines()
+    for ln, line in enumerate(lines, start=1):
+        header = line.strip()
+        if header and not header.startswith("#"):
+            break
+    else:
         raise ParseError("empty relation file")
-    ln, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or not parts[0].startswith("a=") or not parts[1].startswith("r="):
         raise ParseError(f"line {ln}: expected 'a=<size> r=<arity>', got {header!r}", ln)
@@ -396,22 +415,26 @@ def parse_relation(text: str) -> FinRelation:
         arity = int(parts[1][2:])
     except ValueError:
         raise ParseError(f"line {ln}: bad header {header!r}", ln) from None
-    tuples = []
-    for ln, line in lines[1:]:
+    rows = (fields for fields in map(str.split, lines[ln:]) if fields and fields[0][0] != "#")
+    try:
+        return FinRelation(universe, arity, rows)
+    except ValueError as exc:
+        raise _first_bad_line(text, universe, arity) or ParseError(str(exc)) from None
+
+
+def _first_bad_line(text: str, universe: int, arity: int) -> ParseError | None:
+    """The error for the first tuple line of a relation file with the
+    wrong entry count, a non-integer or an entry outside the universe,
+    or None when every tuple line is sound."""
+    for ln, line in numbered_lines(text)[1:]:
         fields = line.split()
         if len(fields) != arity:
-            raise ParseError(
-                f"line {ln}: expected {arity} entries, got {len(fields)}", ln
-            )
+            return ParseError(f"line {ln}: expected {arity} entries, got {len(fields)}", ln)
         try:
             t = tuple(int(f) for f in fields)
         except ValueError:
-            raise ParseError(f"line {ln}: bad tuple {line!r}", ln) from None
+            return ParseError(f"line {ln}: bad tuple {line!r}", ln)
         for v in t:
             if not 0 <= v < universe:
-                raise ParseError(f"line {ln}: entry {v} outside 0..{universe - 1}", ln)
-        tuples.append(t)
-    try:
-        return FinRelation(universe, arity, frozenset(tuples))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+                return ParseError(f"line {ln}: entry {v} outside 0..{universe - 1}", ln)
+    return None

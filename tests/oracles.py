@@ -335,6 +335,21 @@ def brute_embeds(pat: list[set[int]], host: list[set[int]]) -> bool:
     return False
 
 
+def adjacency_fault(v: int, adj) -> str | None:
+    """The first fault of v adjacency bitsets, read pair by pair in
+    vertex order: a bit at or past v, a self-loop, or a pair (u, w) with
+    w in adj[u] but u not in adj[w]; None for a simple graph."""
+    for u in range(v):
+        if adj[u] >> v:
+            return f"adjacency of vertex {u} mentions vertices >= {v}"
+        if adj[u] >> u & 1:
+            return f"self-loop at vertex {u}"
+        for w in range(v):
+            if adj[u] >> w & 1 and not adj[w] >> u & 1:
+                return f"asymmetric adjacency between {u} and {w}"
+    return None
+
+
 def _mask_to_sets(n: int, mask: int) -> list[set[int]]:
     adj: list[set[int]] = [set() for _ in range(n)]
     bit = 0

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: envelopes, exit codes, formats, determinism."""
 from __future__ import annotations
 
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -524,6 +526,25 @@ def test_witness_k_rejected_outside_tuplecoding():
     assert not proc.stdout
 
 
+@pytest.mark.parametrize(
+    "kind, flag, message",
+    [
+        ("order", "--size", "argument --size: witness size must be at least 1, got 0"),
+        ("coding", "--size", "argument --size: witness size must be at least 1, got 0"),
+        ("coding", "--k", "argument --k: side width must be at least 1, got 0"),
+        ("order", "--k", "argument --k: side width must be at least 1, got 0"),
+    ],
+)
+def test_witness_size_and_k_below_one_exit_before_the_relation_is_read(tmp_path, kind, flag, message):
+    # the relation file does not exist: reading it would fail differently
+    argv = ["witness", kind, str(tmp_path / "absent.rel"), "--size", "2", flag, "0"]
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "absent.rel" not in proc.stderr
+
+
 def half_graph_4_argv(tmp_path):
     return ("graphs", "semiinduced", "--graph-file", str(half_graph_4_file(tmp_path)))
 
@@ -556,6 +577,95 @@ def test_each_subcommand_takes_only_the_budget_it_spends(tmp_path, command):
     proc = run_cli(*argv, other, "1000")
     assert proc.returncode == 2
     assert f"unrecognized arguments: {other} 1000" in proc.stderr
+
+
+#: each leaf subcommand's command line with a required argument left out
+REQUIRED_LEFT_OUT = {
+    "seq": ("seq", "--max-n", "3"),
+    "bounds": ("bounds", "--max-n", "40"),
+    "oeis": ("oeis", "--seq", "bell"),
+    "graphs count": ("graphs", "count", "--class-file", FORBID_K2, "--n", "3"),
+    "graphs semiinduced": ("graphs", "semiinduced", "--lax"),
+    "graphs fliproundtrip": ("graphs", "fliproundtrip", "--seeds", "2"),
+    "witness": ("witness", "coding", PAIR9),
+}
+
+
+def parse_outcome(parser, argv):
+    """What parsing argv prints and returns: (exit code or None,
+    stdout, stderr, the Namespace as a dict)."""
+    out, err = io.StringIO(), io.StringIO()
+    code, namespace = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+@pytest.mark.parametrize("command", sorted(BUDGET_OF_SUBCOMMAND))
+def test_parser_for_one_command_matches_the_full_parser(tmp_path, monkeypatch, command):
+    make_argv, budget = BUDGET_OF_SUBCOMMAND[command]
+    valid = tuple(make_argv(tmp_path))
+    prefix = valid[: len(command.split())]
+    probes = {
+        "help": prefix + ("-h",),
+        "valid": valid,
+        "missing": REQUIRED_LEFT_OUT[command],
+        "bad choice": valid + ("--format", "xml"),
+        "budget": valid + (budget, "0"),
+        "unknown flag": valid + ("--bogus",),
+    }
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    for name, argv in probes.items():
+        full = parse_outcome(cli.build_parser(), list(argv))
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        made.clear()
+        narrow = parse_outcome(cli.build_parser(list(argv)), list(argv))
+        monkeypatch.undo()
+        assert narrow == full, name
+        # the top parser and the leaf, and for graphs the group between
+        assert len(made) == len(prefix) + 1, name
+        if name == "valid":
+            assert full[0] is None and full[3]["command"] == prefix[0]
+        else:
+            assert full[0] in (0, 2) and full[1] + full[2], name
+
+
+def test_help_lists_every_command():
+    proc = run_cli("-h")
+    assert proc.returncode == 0
+    assert "{seq,bounds,oeis,graphs,witness}" in proc.stdout
+    for command in ("seq", "bounds", "oeis", "graphs", "witness"):
+        assert f"\n    {command} " in proc.stdout
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built per command line, in main; building it at import
+    # would move its cost (and argparse's gettext import of locale) into
+    # the import of every process that loads the CLI
+    script = (
+        "import argparse, json, sys\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    made.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "before = set(sys.modules)\n"
+        "import growthlab.cli\n"
+        "print(json.dumps([len(made), 'locale' in set(sys.modules) - before]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, False]
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,34 @@ def test_graph_rejects_asymmetric_adjacency():
         Graph(2, (0b10, 0b00))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_names_the_first_fault_the_pairwise_check_finds(seed):
+    # symmetric graphs on up to 20 vertices (across byte boundaries of
+    # the bitsets), each broken by up to two one-way edges, a self-loop
+    # or a vertex out of range, against the pair-by-pair oracle
+    rng = random.Random(seed)
+    faults = 0
+    for _ in range(300):
+        v = rng.randint(1, 20)
+        adj = [0] * v
+        for u, w in itertools.combinations(range(v), 2):
+            if rng.random() < rng.choice((0.1, 0.5, 0.9)):
+                adj[u] |= 1 << w
+                adj[w] |= 1 << u
+        for _ in range(rng.randint(0, 2)):
+            u = rng.randrange(v)
+            adj[u] ^= 1 << rng.choice((rng.randrange(v), rng.randrange(v), u, v + rng.randrange(3)))
+        want = oracles.adjacency_fault(v, adj)
+        if want is None:
+            assert Graph(v, tuple(adj)).adj == tuple(adj)
+        else:
+            faults += 1
+            with pytest.raises(ValueError) as exc_info:
+                Graph(v, tuple(adj))
+            assert str(exc_info.value) == want
+    assert faults > 100
+
+
 def test_graph_rejects_bad_colors():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 1)], colors=[0, 7])

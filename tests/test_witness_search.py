@@ -80,6 +80,30 @@ def test_relation_validation():
         FinRelation(0, 2, frozenset())
 
 
+@pytest.mark.parametrize(
+    "tuples, message",
+    [
+        (frozenset({(0, 1), (1, 2, 0)}), "tuple (1, 2, 0) has length 3, arity is 2"),
+        (frozenset({(0, 1), (2, 3)}), "tuple (2, 3) leaves the universe 0..2"),
+        (frozenset({(0, -1)}), "tuple (0, -1) leaves the universe 0..2"),
+        ({(0, 1), (2,)}, "tuple (2,) has length 1, arity is 2"),
+        ([(1, 0), (0, 7)], "tuple (0, 7) leaves the universe 0..2"),
+    ],
+)
+def test_relation_rejects_a_bad_tuple_by_name(tuples, message):
+    with pytest.raises(ValueError) as exc_info:
+        FinRelation(3, 2, tuples)
+    assert str(exc_info.value) == message
+
+
+def test_relation_converts_entries_to_int_tuples():
+    rel = FinRelation(3, 2, [[True, 2], (1.0, 0)])
+    assert rel.tuples == frozenset({(1, 2), (1, 0)})
+    assert type(rel.tuples) is frozenset
+    assert {type(v) for t in rel.tuples for v in t} == {int}
+    assert {type(t) for t in rel.tuples} == {tuple}
+
+
 def test_order_witness_validation():
     OrderWitness((0, 1), (2, 3))
     with pytest.raises(ValueError):
@@ -396,3 +420,54 @@ def test_parse_relation_errors_carry_lines():
         parse_relation("r=2\n0 1\n")
     with pytest.raises(ParseError):
         parse_relation("a=2 r=2\n0 9\n")
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("a=4 r=2\n0 1\n2 3 1\n", "line 3: expected 2 entries, got 3", 3),
+        ("a=4 r=2\n0 1\n3\n", "line 3: expected 2 entries, got 1", 3),
+        ("a=4 r=2\n0 x\n", "line 2: bad tuple '0 x'", 2),
+        ("a=4 r=2\n  1.5   2 \n", "line 2: bad tuple '1.5   2'", 2),
+        ("a=4 r=2\n0 1\n1 4\n", "line 3: entry 4 outside 0..3", 3),
+        ("a=4 r=2\n-1 0\n", "line 2: entry -1 outside 0..3", 2),
+        # comments and blank lines count toward the line number
+        ("# a relation\n\na=4 r=2\n\n0 1\n# 9 9 9\n   \n2 9\n", "line 8: entry 9 outside 0..3", 8),
+        ("\n\na=4 r=2\n# x\n0 1 1\n", "line 5: expected 2 entries, got 3", 5),
+    ],
+)
+def test_parse_relation_names_the_bad_line(text, message, line):
+    with pytest.raises(ParseError) as exc_info:
+        parse_relation(text)
+    assert str(exc_info.value) == message
+    assert exc_info.value.position == line
+
+
+@pytest.mark.parametrize("first", range(3))
+def test_parse_relation_reports_the_first_of_several_bad_lines(first):
+    # three kinds of bad line, each rotated to the front in turn
+    bad = ["9 0", "0 1 2", "x 1"]
+    bad = bad[first:] + bad[:first]
+    text = "a=4 r=2\n# header done\n0 1\n\n" + "\n".join(bad) + "\n"
+    want = {
+        "9 0": "line 5: entry 9 outside 0..3",
+        "0 1 2": "line 5: expected 2 entries, got 3",
+        "x 1": "line 5: bad tuple 'x 1'",
+    }[bad[0]]
+    with pytest.raises(ParseError) as exc_info:
+        parse_relation(text)
+    assert str(exc_info.value) == want
+    assert exc_info.value.position == 5
+
+
+def test_parse_relation_skips_comments_and_blank_lines():
+    text = "# pairs\na=3 r=2\n\n0 1\n  # 2 2\n1 2 \n\t\n2 0\n#"
+    rel = parse_relation(text)
+    assert rel == FinRelation(3, 2, frozenset({(0, 1), (1, 2), (2, 0)}))
+
+
+def test_parse_relation_reports_a_bad_universe_without_a_line():
+    with pytest.raises(ParseError) as exc_info:
+        parse_relation("a=0 r=2\n")
+    assert str(exc_info.value) == "universe must be non-empty"
+    assert exc_info.value.position is None
