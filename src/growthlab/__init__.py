@@ -14,7 +14,6 @@ from .graph_classes import (
     count_labelled,
     flip_recover,
     flipped_paths,
-    graph_in_class,
     half_graph,
     parse_class_spec,
     parse_graph,
@@ -95,7 +94,6 @@ __all__ = [
     "flipped_paths",
     "format_expr",
     "gap_verdict",
-    "graph_in_class",
     "half_graph",
     "meet_trivial_pairs",
     "parse_class_spec",

@@ -334,24 +334,28 @@ def _cmd_graphs(args, rows, tel, config) -> int:
         rows.append({"name": "semi_induced_order", "value": value})
         return EXIT_OK
 
-    # fliproundtrip: one node per trial, all counted before the first runs
+    # fliproundtrip: one node per trial, all counted before anything is
+    # built; 2^p exceeds the budget B iff p >= B.bit_length()
     k = config["k"] = args.k
-    clean = flipped_paths(k)
     if args.exhaustive:
         config["exhaustive"] = True
+        p = k * (k + 1) // 2
+        if p >= args.budget_nodes.bit_length():
+            raise CapacityError(f"2^{p} flip round trips: node budget {args.budget_nodes} exceeded")
+        trials = 1 << p
         all_pairs = [(i, j) for i in range(k) for j in range(i, k)]
-        trials = 1 << len(all_pairs)
         specs = (
-            FlipSpec.from_pairs(k, [p for t, p in enumerate(all_pairs) if bits >> t & 1])
+            FlipSpec.from_pairs(k, [pair for t, pair in enumerate(all_pairs) if bits >> t & 1])
             for bits in range(trials)
         )
     else:
         trials = config["seeds"] = args.seeds
+        if trials > args.budget_nodes:
+            raise CapacityError(f"{trials} flip round trips: node budget {args.budget_nodes} exceeded")
         rng = random.Random(args.seed)
         specs = (FlipSpec.random(k, rng) for _ in range(trials))
-    if trials > args.budget_nodes:
-        raise CapacityError(f"{trials} flip round trips: node budget {args.budget_nodes} exceeded")
     tel["nodes"] += trials
+    clean = flipped_paths(k)
     failures = 0
     for idx, spec in enumerate(specs):
         try:
@@ -418,16 +422,17 @@ def _cmd_witness(args, rows, tel, config) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _at_least_one(what: str):
-    """An argparse type for a positive integer, named in its errors."""
+def _at_least(low: int, what: str):
+    """An argparse type for an integer of at least low, named in its
+    errors."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {value}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {value}")
         return value
 
     return parse
@@ -439,7 +444,7 @@ def _add_shared(p: argparse.ArgumentParser, budget_flag: str, budget_default: in
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deterministic", action="store_true")
-    p.add_argument(budget_flag, type=_at_least_one("budget"), default=budget_default)
+    p.add_argument(budget_flag, type=_at_least(1, "budget"), default=budget_default)
 
 
 def _add_seq(sub) -> None:
@@ -447,7 +452,7 @@ def _add_seq(sub) -> None:
     _add_shared(p, "--budget-tuples", DEFAULT_TUPLE_BUDGET)
     p.add_argument("expr_file")
     p.add_argument("--max-n", type=int, default=8, dest="max_n")
-    p.add_argument("--trunc-m", type=_at_least_one("truncation level"), default=None, dest="trunc_m")
+    p.add_argument("--trunc-m", type=_at_least(1, "truncation level"), default=None, dest="trunc_m")
     p.add_argument("--oracle-check", action="store_true", dest="oracle_check")
 
 
@@ -493,8 +498,8 @@ def _add_semiinduced(sub) -> None:
 def _add_fliproundtrip(sub) -> None:
     g = sub.add_parser("fliproundtrip", help="flip recovery round trips")
     _add_shared(g, "--budget-nodes", DEFAULT_NODE_BUDGET)
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--seeds", type=_at_least_one("trial count"), default=20)
+    g.add_argument("--k", type=_at_least(2, "path length"), required=True)
+    g.add_argument("--seeds", type=_at_least(1, "trial count"), default=20)
     g.add_argument("--exhaustive", action="store_true")
 
 
@@ -510,8 +515,8 @@ def _add_witness(sub) -> None:
     _add_shared(p, "--budget-nodes", DEFAULT_NODE_BUDGET)
     p.add_argument("kind", choices=("order", "coding"))
     p.add_argument("rel_file")
-    p.add_argument("--size", type=_at_least_one("witness size"), required=True)
-    p.add_argument("--k", type=_at_least_one("side width"), default=None)
+    p.add_argument("--size", type=_at_least(1, "witness size"), required=True)
+    p.add_argument("--k", type=_at_least(1, "side width"), default=None)
 
 
 _SUBCOMMANDS = {
@@ -574,6 +579,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact terms can run past 4,300 digits
     args = build_parser(argv).parse_args(argv)
     command = args.command
     if command == "graphs":

@@ -2,7 +2,7 @@
 across growthlab modules."""
 
 #: nodes allowed to one search: a whole witness search, a whole labelled
-#: class count, or one membership test
+#: class count, or a whole semi-induced order search
 DEFAULT_NODE_BUDGET = 10**7
 
 

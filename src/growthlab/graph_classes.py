@@ -6,12 +6,12 @@ by generators or forbidden induced subgraphs, and the largest
 semi-induced half-graph in a graph.
 
 Graphs are adjacency bitsets (one Python int per vertex), with no
-limit on their size.  Membership testing is backtracking induced-subgraph
-isomorphism on those bitsets.  Labelled counting enumerates the members
-on [n] only, never all 2^C(n,2) graphs: in generators mode as the
-relabellings of the generators' n-vertex induced subgraphs, in
-forbidden mode by extending each member on [k] by one vertex.  One node
-budget bounds a whole count.
+limit on their size.  Induced embeddings are found by backtracking on
+those bitsets.  Labelled counting enumerates the members on [n] only,
+never all 2^C(n,2) graphs: in generators mode as the relabellings of
+the generators' n-vertex induced subgraphs, in forbidden mode by
+extending each member on [k] by one vertex.  One node budget bounds a
+whole count.
 """
 
 from __future__ import annotations
@@ -182,6 +182,10 @@ def flipped_paths(k: int, spec: FlipSpec | None = None) -> Graph:
     groups vertices by position, so class j is {(i, j) : all i}; a spec
     pair (j, j') complements all edges between class j and class j', and
     a diagonal pair (j, j) complements within the class.
+
+    Each row is built whole: position j has the bitset of the positions
+    it is flipped with, and the row of (i, j) is its path rungs XOR that
+    bitset repeated over the three paths, without (i, j) itself.
     """
     if k < 2:
         raise ValueError("paths need at least two vertices")
@@ -189,36 +193,27 @@ def flipped_paths(k: int, spec: FlipSpec | None = None) -> Graph:
         spec = FlipSpec(k, frozenset())
     if spec.t != k:
         raise ValueError(f"spec has {spec.t} classes but paths have {k} positions")
-    adj = [0] * (3 * k)
-
-    def toggle(x: int, y: int) -> None:
-        adj[x] ^= 1 << y
-        adj[y] ^= 1 << x
-
+    flip = [0] * k  # flip[j]: the positions j is flipped with
+    for j, j2 in spec.pairs:
+        flip[j] |= 1 << j2
+    spread = 1 | 1 << k | 1 << 2 * k  # one copy of a position mask per path
+    adj = []
     for i in range(3):
-        for j in range(k - 1):
-            toggle(i * k + j, i * k + j + 1)
-    for j, j2 in spec.unordered():
-        if j == j2:
-            for i in range(3):
-                for i2 in range(i + 1, 3):
-                    toggle(i * k + j, i2 * k + j)
-        else:
-            for i in range(3):
-                for i2 in range(3):
-                    toggle(i * k + j, i2 * k + j2)
+        for j in range(k):
+            rungs = (1 << j - 1 if j else 0) | (1 << j + 1 if j + 1 < k else 0)
+            adj.append(((rungs << i * k) ^ flip[j] * spread) & ~(1 << (i * k + j)))
     return Graph(3 * k, tuple(adj), tuple(i for i in range(3) for _ in range(k)))
 
 
 # ---------------------------------------------------------------------------
-# membership and labelled counting
+# labelled counting
 # ---------------------------------------------------------------------------
 
 
 class _Budget:
     """Backtracking and enumeration nodes spent against one limit, which
-    bounds a whole count, membership test or semi-induced search in time
-    and in memory.  ``what`` names the stage in the CapacityError."""
+    bounds a whole count or semi-induced search in time and in memory.
+    ``what`` names the stage in the CapacityError."""
 
     def __init__(self, limit: int, what: str):
         self.limit = limit
@@ -231,14 +226,11 @@ class _Budget:
             raise CapacityError(f"{self.what}: node budget {self.limit} exceeded")
 
 
-def _embeddings(
-    pat: list[int], host: list[int], budget: _Budget, first: bool = False
-) -> list[list[int]]:
+def _embeddings(pat: list[int], host: list[int], budget: _Budget) -> list[list[int]]:
     """Induced embeddings of the pattern into the host, pure-int bitsets.
 
     Returns the host images of pattern vertices 0..p-1, one list per
-    embedding, or at most one embedding when ``first``.  Each host
-    vertex tried spends one node of the budget.
+    embedding.  Each host vertex tried spends one node of the budget.
     """
     p, h = len(pat), len(host)
     if p > h:
@@ -269,8 +261,6 @@ def _embeddings(
         img[depth] = low.bit_length() - 1
         if depth == p - 1:
             found.append(img[:])
-            if first:
-                break
             continue
         used |= low
         nxt = full & ~used
@@ -280,29 +270,6 @@ def _embeddings(
         cand[depth] = nxt
     budget.spend(nodes)
     return found
-
-
-def _member(
-    graphs: list[list[int]], adj: list[int], generator_mode: bool, budget: _Budget
-) -> bool:
-    """Membership of the graph ``adj`` by induced embeddings: into some
-    generator, or of no forbidden graph (one larger than ``adj`` fails
-    at once, with no nodes)."""
-    for other in graphs:
-        if generator_mode:
-            found = _embeddings(adj, other, budget, first=True)
-        else:
-            found = _embeddings(other, adj, budget, first=True)
-        if found:
-            return generator_mode
-    return not generator_mode
-
-
-def graph_in_class(spec: ClassSpec, g: Graph, *, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """Membership of one graph in the class, by induced embeddings."""
-    graphs = [list(h.adj) for h in spec.graphs]
-    budget = _Budget(node_budget, "membership test")
-    return _member(graphs, list(g.adj), spec.mode == MODE_GENERATORS, budget)
 
 
 def _count_generated(gens: list[list[int]], n: int, budget: _Budget) -> int:
@@ -529,49 +496,37 @@ def flip_recover(H: Graph) -> Graph:
     Returns the graph of phi with the colours kept.  On a flipped
     disjoint-paths graph coloured by path this reconstructs the
     unflipped paths, because same-position vertices share cross-path
-    neighbourhoods.  phi is evaluated on ordered pairs; if it ever
-    disagrees with its transpose the input was not a flip of coloured
-    paths and a ValueError reports the pair instead of guessing.
+    neighbourhoods.
+
+    phi is evaluated a column at a time on bitsets: psi_i(., y) is the
+    union of the neighbourhoods of the z in C_{i+1} that see C_{i+2} as
+    y does, one union per such view, and column y of phi is that union
+    XOR y's own neighbourhood, within C_i and without y.  The columns
+    are the rows of the result, so if phi ever disagrees with its
+    transpose the symmetry check of Graph finds the pair, and a
+    ValueError says the input was not a flip of coloured paths instead
+    of guessing.
     """
     if H.colors is None:
         raise ValueError("flip recovery needs a total 3-colouring")
-    class_mask = [0, 0, 0]
-    for u, c in enumerate(H.colors):
-        class_mask[c] |= 1 << u
     members = [[u for u in range(H.v) if H.colors[u] == c] for c in range(3)]
-
-    # partner_mask[y] = bits of z in C_{i+1} sharing y's view of C_{i+2}
-    partner_mask = [0] * H.v
-    for i in range(3):
-        m1, m2 = class_mask[(i + 1) % 3], class_mask[(i + 2) % 3]
-        for y in members[i]:
-            view = H.adj[y] & m2
-            acc = 0
-            for z in members[(i + 1) % 3]:
-                if H.adj[z] & m2 == view:
-                    acc |= 1 << z
-            partner_mask[y] = acc & m1
-
-    def phi(x: int, y: int) -> bool:
-        psi = bool(H.adj[x] & partner_mask[y])
-        return psi == (not H.has_edge(x, y))
-
+    class_mask = [sum(1 << u for u in m) for m in members]
     adj = [0] * H.v
     for i in range(3):
-        for x in members[i]:
-            for y in members[i]:
-                if x >= y:
-                    continue
-                fwd, back = phi(x, y), phi(y, x)
-                if fwd != back:
-                    raise ValueError(
-                        f"recovery formula is asymmetric at ({x}, {y}); "
-                        "input is not a flip of coloured paths"
-                    )
-                if fwd:
-                    adj[x] |= 1 << y
-                    adj[y] |= 1 << x
-    return Graph(H.v, tuple(adj), H.colors)
+        m0, m2 = class_mask[i], class_mask[(i + 2) % 3]
+        # reach[view]: the vertices adjacent to some z in C_{i+1} that
+        # sees C_{i+2} as view, so psi_i(., y) is reach[y's view] on C_i
+        reach: dict[int, int] = {}
+        for z in members[(i + 1) % 3]:
+            view = H.adj[z] & m2
+            reach[view] = reach.get(view, 0) | H.adj[z]
+        for y in members[i]:
+            psi = reach.get(H.adj[y] & m2, 0)
+            adj[y] = (psi ^ H.adj[y]) & m0 & ~(1 << y)
+    try:
+        return Graph(H.v, tuple(adj), H.colors)
+    except ValueError as exc:
+        raise ValueError(f"recovery formula gives {exc}; input is not a flip of coloured paths") from None
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Everything here is written against the definitions, not against the
 package: set partitions are enumerated by block insertion, orbits are
 counted by minimising over the full element list of the group (or, for
 groups too large for that, by a search over sets of points), graph
-membership tries every injection.  Values frozen below were computed
-by these routines (and agree with the library under test only if both
-are right).
+membership tries every injection, flipped paths toggle one edge at a
+time and the flip recovery formula is read pair by pair.  Values frozen
+below were computed by these routines (and agree with the library under
+test only if both are right).
 """
 
 from __future__ import annotations
@@ -348,6 +349,58 @@ def adjacency_fault(v: int, adj) -> str | None:
             if adj[u] >> w & 1 and not adj[w] >> u & 1:
                 return f"asymmetric adjacency between {u} and {w}"
     return None
+
+
+def flipped_paths_by_toggles(k: int, pairs) -> list[int]:
+    """Adjacency bitsets of three disjoint paths on positions 0..k-1,
+    vertex (i, j) numbered i*k + j, with one edge toggled at a time: for
+    each unordered pair {j, j'} of positions among the ordered ``pairs``,
+    every vertex pair between position j and position j' (for j = j',
+    between distinct paths)."""
+    adj = [0] * (3 * k)
+
+    def toggle(x: int, y: int) -> None:
+        adj[x] ^= 1 << y
+        adj[y] ^= 1 << x
+
+    for i in range(3):
+        for j in range(k - 1):
+            toggle(i * k + j, i * k + j + 1)
+    for j, j2 in sorted({(min(a, b), max(a, b)) for a, b in pairs}):
+        for i in range(3):
+            for i2 in range(3):
+                if j != j2 or i < i2:
+                    toggle(i * k + j, i2 * k + j2)
+    return adj
+
+
+def flip_recover_by_pairs(adj, colors) -> list[int]:
+    """The recovery formula phi evaluated pair by pair: for x != y in one
+    class C_i, phi(x, y) holds iff "some z in C_{i+1} has the same
+    neighbours in C_{i+2} as y and is adjacent to x" holds exactly when
+    xy is a non-edge.  Raises ValueError at the first pair, in vertex
+    order, where phi(x, y) and phi(y, x) differ."""
+    v = len(adj)
+    members = [[u for u in range(v) if colors[u] == c] for c in range(3)]
+
+    def view(u: int, c: int) -> set[int]:
+        return {w for w in members[c] if adj[u] >> w & 1}
+
+    def phi(x: int, y: int, i: int) -> bool:
+        near, far = members[(i + 1) % 3], (i + 2) % 3
+        psi = any(adj[x] >> z & 1 and view(z, far) == view(y, far) for z in near)
+        return psi == (not adj[x] >> y & 1)
+
+    out = [0] * v
+    for i in range(3):
+        for x, y in combinations(members[i], 2):
+            fwd = phi(x, y, i)
+            if fwd != phi(y, x, i):
+                raise ValueError(f"recovery formula is asymmetric at ({x}, {y})")
+            if fwd:
+                out[x] |= 1 << y
+                out[y] |= 1 << x
+    return out
 
 
 def _mask_to_sets(n: int, mask: int) -> list[set[int]]:

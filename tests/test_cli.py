@@ -326,6 +326,37 @@ def test_oeis_deep_bell_term_in_a_fresh_process(tmp_path):
     assert [r["verdict"] for r in rows_by_name(env, "term")] == ["match"]
 
 
+@pytest.fixture(scope="module")
+def bell_2100_text():
+    """B_2100 in decimal: 4,604 digits, past the interpreter's default
+    limit of 4,300 for int and str conversions, lifted only to write it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(bell(2100)[2100])
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_seq_prints_terms_longer_than_the_int_digit_limit(tmp_path, bell_2100_text):
+    # the Stirling transform of (wr (finite 1)), whose l_n are all 1,
+    # is the Bell numbers
+    expr = tmp_path / "wr1.expr"
+    expr.write_text("(wr (finite 1))\n")
+    code, env = cli_json("seq", str(expr), "--max-n", "2100")
+    assert code == 0
+    assert {r["n"]: r["value"] for r in rows_by_name(env, "s")}["2100"] == bell_2100_text
+
+
+def test_oeis_reads_terms_longer_than_the_int_digit_limit(tmp_path, bell_2100_text):
+    bfile = tmp_path / "b2100.txt"
+    bfile.write_text(f"2100 {bell_2100_text}\n")
+    code, env = cli_json("oeis", "--seq", "bell", "--bfile", str(bfile), "--offset", "0", "--max-n", "2100")
+    assert code == 0
+    terms = rows_by_name(env, "term")
+    assert [(r["n"], r["value"], r["verdict"]) for r in terms] == [("2100", bell_2100_text, "match")]
+
+
 def test_oeis_requires_seq_or_expr():
     proc = run_cli("oeis", "--bfile", B110)
     assert proc.returncode == 2
@@ -437,15 +468,38 @@ def test_graphs_fliproundtrip_exhaustive():
 
 @pytest.mark.parametrize(
     "trials, argv",
-    [("268435456", ("--k", "7", "--exhaustive")), ("100000000", ("--k", "3", "--seeds", "100000000"))],
+    [
+        ("2^28", ("--k", "7", "--exhaustive")),
+        ("100000000", ("--k", "3", "--seeds", "100000000")),
+        ("2^125250", ("--k", "500", "--exhaustive")),
+    ],
 )
 def test_graphs_fliproundtrip_counts_its_trials_before_the_first(trials, argv):
     # one node per trial against the default budget of 10^7, checked
-    # before any trial is built
+    # before any trial is built; an exhaustive run names its count by
+    # the exponent k(k+1)/2, whatever its number of digits
     code, env = cli_json("graphs", "fliproundtrip", *argv, timeout=30)
     assert code == 3
     assert env["results"] == []
     assert env["telemetry"]["capacity"] == f"{trials} flip round trips: node budget 10000000 exceeded"
+
+
+@pytest.mark.parametrize("argv", [("--k", "2000", "--exhaustive"), ("--k", "3", "--seeds", "100000000")])
+def test_graphs_fliproundtrip_over_budget_builds_no_graph(argv, monkeypatch, capsys):
+    def unexpected(*args):
+        raise AssertionError("flipped_paths called on an over-budget run")
+
+    monkeypatch.setattr(cli, "flipped_paths", unexpected)
+    assert cli.main(["graphs", "fliproundtrip", *argv]) == 3
+    assert "node budget 10000000 exceeded" in json.loads(capsys.readouterr().out)["telemetry"]["capacity"]
+
+
+@pytest.mark.parametrize("k", ["1", "-3"])
+def test_graphs_fliproundtrip_k_below_two_is_input_error(k):
+    proc = run_cli("graphs", "fliproundtrip", "--k", k, "--exhaustive")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument --k: path length must be at least 2, got {k}" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

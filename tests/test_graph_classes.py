@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growthlab import CapacityError, ClassSpec, FlipSpec, Graph, ParseError
-from growthlab import count_labelled, flip_recover, flipped_paths, graph_in_class
-from growthlab import half_graph, parse_class_spec, parse_graph
+from growthlab import count_labelled, flip_recover, flipped_paths
+from growthlab import eval_lseq, half_graph, parse_class_spec, parse_expr, parse_graph
 from growthlab import semi_induced_order
 from growthlab.graph_classes import MODE_FORBIDDEN, MODE_GENERATORS
 
@@ -24,10 +24,16 @@ P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 K1 = Graph(1, (0,))
+K4 = Graph.from_edges(4, itertools.combinations(range(4), 2))
 
 
 def path(k: int) -> Graph:
     return Graph.from_edges(k, [(i, i + 1) for i in range(k - 1)])
+
+
+def complement(g: Graph) -> Graph:
+    pairs = itertools.combinations(range(g.v), 2)
+    return Graph.from_edges(g.v, [(u, w) for u, w in pairs if not g.has_edge(u, w)])
 
 
 def edge_sets(g: Graph) -> list[set[int]]:
@@ -188,6 +194,26 @@ def test_generators_half_graph_8_at_7():
     assert count_labelled(ClassSpec(MODE_GENERATORS, (half_graph(8),)), 7) == 23647
 
 
+@pytest.mark.parametrize("complemented", [False, True])
+@pytest.mark.parametrize(
+    "forbidden, expr",
+    [
+        ((P3,), "(wr (wr (finite 1)))"),
+        ((P3, K3), "(wr (finite 2 full-sym))"),
+        ((P3, K4), "(wr (finite 3 full-sym))"),
+        ((K2,), "(wr (finite 1))"),
+    ],
+    ids=["P3", "P3-K3", "P3-K4", "K2"],
+)
+def test_forbidden_class_counts_match_the_expression(forbidden, expr, complemented):
+    # two routes to one sequence: the graphs with no induced P3 are the
+    # disjoint unions of cliques, which are the equivalence relations
+    # that the wreath products count; taking complements keeps every count
+    graphs = tuple(complement(g) for g in forbidden) if complemented else forbidden
+    spec = ClassSpec(MODE_FORBIDDEN, graphs)
+    assert [count_labelled(spec, n) for n in range(9)] == list(eval_lseq(parse_expr(expr), 8))
+
+
 def test_count_reports_nodes():
     counters = {"nodes": 0}
     assert count_labelled(ClassSpec(MODE_FORBIDDEN, (P3, K3)), 5, counters=counters) == 26
@@ -237,25 +263,6 @@ def test_class_spec_validation():
         ClassSpec("nonsense", (K2,))
     with pytest.raises(ValueError):
         ClassSpec(MODE_FORBIDDEN, ())
-
-
-# ---------------------------------------------------------------------------
-# Membership
-
-
-@given(small_graphs(max_v=5))
-@settings(deadline=None, max_examples=40)
-def test_membership_matches_brute_embedding(g):
-    host = half_graph(3)
-    spec = ClassSpec(MODE_GENERATORS, (host,))
-    want = oracles.brute_embeds(edge_sets(g), edge_sets(host))
-    assert graph_in_class(spec, g) == want
-
-
-def test_membership_forbidden_mode():
-    spec = ClassSpec(MODE_FORBIDDEN, (K3,))
-    assert graph_in_class(spec, P4)
-    assert not graph_in_class(spec, Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +374,49 @@ def test_flip_recover_random_k6():
     for _ in range(30):
         spec = FlipSpec.random(6, rng)
         assert flip_recover(flipped_paths(6, spec=spec)) == flipped_paths(6)
+
+
+def test_flip_layer_matches_the_pairwise_oracles_on_every_spec_at_k3():
+    pairs = list(itertools.combinations_with_replacement(range(3), 2))
+    clean = oracles.flipped_paths_by_toggles(3, [])
+    for mask in range(1 << len(pairs)):
+        spec = FlipSpec.from_pairs(3, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        g = flipped_paths(3, spec)
+        assert list(g.adj) == oracles.flipped_paths_by_toggles(3, spec.pairs), spec
+        assert list(flip_recover(g).adj) == oracles.flip_recover_by_pairs(g.adj, g.colors) == clean
+
+
+def test_flip_layer_matches_the_pairwise_oracles_on_random_specs():
+    rng = random.Random(7)
+    for k in range(2, 11):
+        for _ in range(12):
+            spec = FlipSpec.random(k, rng)
+            g = flipped_paths(k, spec)
+            assert list(g.adj) == oracles.flipped_paths_by_toggles(k, spec.pairs), spec
+            assert list(flip_recover(g).adj) == oracles.flip_recover_by_pairs(g.adj, g.colors)
+
+
+def test_flip_recover_raises_where_the_pairwise_oracle_raises():
+    # flipped paths with one vertex pair toggled: the recovery either
+    # fails on both sides or gives the same graph on both
+    rng = random.Random(11)
+    raised = 0
+    for _ in range(200):
+        k = rng.randint(2, 7)
+        adj = list(flipped_paths(k, FlipSpec.random(k, rng)).adj)
+        u, w = rng.sample(range(3 * k), 2)
+        adj[u] ^= 1 << w
+        adj[w] ^= 1 << u
+        g = Graph(3 * k, tuple(adj), flipped_paths(k).colors)
+        try:
+            want = oracles.flip_recover_by_pairs(g.adj, g.colors)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError, match="input is not a flip of coloured paths"):
+                flip_recover(g)
+        else:
+            assert list(flip_recover(g).adj) == want
+    assert raised > 50
 
 
 def test_flip_recover_requires_colors():

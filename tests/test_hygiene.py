@@ -1,6 +1,7 @@
-"""Source hygiene: no module imports a name it never uses, the package
-exports exactly the public names its __init__ binds, and the orbit
-counts sit below the expression layer."""
+"""Source hygiene: no module imports a name it never uses or defines a
+private name it never reads, the package exports exactly the public
+names its __init__ binds, and the orbit counts sit below the expression
+layer."""
 from __future__ import annotations
 
 import ast
@@ -33,6 +34,28 @@ def test_no_unused_module_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree).items() if name not in used]
     assert unused == []
+
+
+def test_every_private_module_name_is_read_in_its_module():
+    # a module-level _name that its own module never reads is dead code:
+    # nothing outside the module should reach for it either
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node.lineno
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [
+            f"{path.name}:{line} {name}"
+            for name, line in defined.items()
+            if name.startswith("_") and not name.startswith("__") and name not in read
+        ]
+    assert unread == []
 
 
 def test_exports_match_the_names_init_binds():
