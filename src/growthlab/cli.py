@@ -5,6 +5,17 @@ bounds (growth-bound verdicts), oeis (compare a sequence against a
 b-file), graphs (labelled class counting, semi-induced order, flip
 round trips) and witness (order and coding witness searches).
 
+One flag table, _LEAVES, is the grammar of the command line: for each
+leaf subcommand its positionals, its flags (spelling, dest, kind,
+choices, default, required), the output flags every leaf shares and the
+one budget it spends.  main reads a command line straight from the
+table.  A line the reader does not take as written (-h, any error, an
+abbreviated flag, --flag=value, a repeated flag, a value starting with
+'-') goes to the argparse parser build_parser makes from the same
+table, which prints the help or the usage error (exit 2), or parses the
+line.  argparse is imported only then, so a valid line loads none of
+argparse, gettext or locale.
+
 Output is a JSON envelope {command, config, results, telemetry} on
 stdout, or the results as CSV.  Every number in the envelope is
 rendered as a decimal string so arbitrary-precision values survive any
@@ -20,7 +31,6 @@ growthlab, not in the input).
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -28,8 +38,10 @@ import random
 import sys
 import time
 import traceback
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import DEFAULT_NODE_BUDGET, CapacityError, ParseError, numbered_lines
 from .graph_classes import (
@@ -135,14 +147,14 @@ def _common_config(args) -> dict:
 
 
 def _cmd_seq(args, rows, tel, config) -> int:
+    if args.trunc_m is not None and not args.oracle_check:
+        raise ValueError("--trunc-m only applies with --oracle-check")
     expr = parse_expr(Path(args.expr_file).read_text())
     config["expr"] = format_expr(expr)
     config["max_n"] = args.max_n
     config["oracle_check"] = args.oracle_check
     if args.trunc_m is not None:
         config["trunc_m"] = args.trunc_m
-    if args.max_n < 1:
-        raise ValueError("--max-n must be at least 1")
     lseq = eval_lseq(expr, args.max_n, budget=args.budget_tuples)
     sseq = stirling_transform(lseq)
     for n in range(args.max_n + 1):
@@ -262,8 +274,6 @@ def _cmd_oeis(args, rows, tel, config) -> int:
     entries = _parse_bfile(Path(args.bfile).read_text())
     config["bfile"] = args.bfile
     config["max_n"] = args.max_n
-    if args.max_n < 0:
-        raise ValueError("--max-n must be non-negative")
     offset = min(entries) if args.offset is None else args.offset
     config["offset"] = offset
 
@@ -418,152 +428,253 @@ def _cmd_witness(args, rows, tel, config) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# the command line: one flag table, its reader, and argparse for the rest
 # ---------------------------------------------------------------------------
 
 
 def _at_least(low: int, what: str):
-    """An argparse type for an integer of at least low, named in its
-    errors."""
+    """A flag kind: an integer of at least low.  Its ValueError carries
+    the message argparse prints, naming the value as what."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
+            raise ValueError(f"{what} must be an integer, got {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {value}")
+            raise ValueError(f"{what} must be at least {low}, got {value}")
         return value
 
     return parse
 
 
-def _add_shared(p: argparse.ArgumentParser, budget_flag: str, budget_default: int) -> None:
-    """The output flags every leaf subcommand takes, and the one budget
-    it spends."""
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--deterministic", action="store_true")
-    p.add_argument(budget_flag, type=_at_least(1, "budget"), default=budget_default)
+@dataclass(frozen=True)
+class _Arg:
+    """One argument of a leaf subcommand: a flag, or a positional spelled
+    by its dest.  kind converts its text: str, int or an _at_least
+    converter; bool marks a flag that takes no value, True when given."""
+
+    spelling: str
+    dest: str
+    kind: object = str
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
 
 
-def _add_seq(sub) -> None:
-    p = sub.add_parser("seq", help="growth-sequence prefix of an expression")
-    _add_shared(p, "--budget-tuples", DEFAULT_TUPLE_BUDGET)
-    p.add_argument("expr_file")
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
-    p.add_argument("--trunc-m", type=_at_least(1, "truncation level"), default=None, dest="trunc_m")
-    p.add_argument("--oracle-check", action="store_true", dest="oracle_check")
+@dataclass(frozen=True)
+class _Leaf:
+    """A leaf subcommand: its help, the one budget it spends, and its
+    own arguments; one_of is a pair of flags of which exactly one must
+    be given."""
+
+    help: str
+    budget: _Arg
+    positionals: tuple[_Arg, ...] = ()
+    flags: tuple[_Arg, ...] = ()
+    one_of: tuple[_Arg, ...] = ()
+
+    def args(self) -> tuple[_Arg, ...]:
+        """Every argument, in the order the parser registers them."""
+        return (*_OUTPUT_FLAGS, self.budget, *self.positionals, *self.one_of, *self.flags)
 
 
-def _add_bounds(sub) -> None:
-    p = sub.add_parser("bounds", help="growth-bound verdicts")
-    _add_shared(p, "--budget-tuples", DEFAULT_TUPLE_BUDGET)
-    p.add_argument("expr_file")
-    p.add_argument("--max-n", type=int, default=30, dest="max_n")
-    p.add_argument("--grid", default=None)
+_OUTPUT_FLAGS = (
+    _Arg("--format", "format", choices=("json", "csv"), default="json"),
+    _Arg("--seed", "seed", int, default=0),
+    _Arg("--deterministic", "deterministic", bool, default=False),
+)
+_TUPLE_BUDGET = _Arg("--budget-tuples", "budget_tuples", _at_least(1, "budget"), default=DEFAULT_TUPLE_BUDGET)
+_NODE_BUDGET = _Arg("--budget-nodes", "budget_nodes", _at_least(1, "budget"), default=DEFAULT_NODE_BUDGET)
 
-
-def _add_oeis(sub) -> None:
-    p = sub.add_parser("oeis", help="compare a sequence against a b-file")
-    _add_shared(p, "--budget-tuples", DEFAULT_TUPLE_BUDGET)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--seq",
-        choices=("bell", "bell2", "meet-trivial-pairs"),
-        dest="named_seq",
-    )
-    group.add_argument("--expr", dest="expr_file")
-    p.add_argument("--use-s", action="store_true", dest="use_s")
-    p.add_argument("--bfile", required=True)
-    p.add_argument("--max-n", type=int, default=12, dest="max_n")
-    p.add_argument("--offset", type=int, default=None)
-
-
-def _add_count(sub) -> None:
-    g = sub.add_parser("count", help="labelled members on n vertices")
-    _add_shared(g, "--budget-nodes", DEFAULT_NODE_BUDGET)
-    g.add_argument("--class-file", required=True, dest="class_file")
-    g.add_argument("--mode", choices=("generators", "forbidden"), required=True)
-    g.add_argument("--n", type=int, required=True)
-
-
-def _add_semiinduced(sub) -> None:
-    g = sub.add_parser("semiinduced", help="largest semi-induced half-graph")
-    _add_shared(g, "--budget-nodes", DEFAULT_NODE_BUDGET)
-    g.add_argument("--graph-file", required=True, dest="graph_file")
-    g.add_argument("--lax", action="store_true")
-
-
-def _add_fliproundtrip(sub) -> None:
-    g = sub.add_parser("fliproundtrip", help="flip recovery round trips")
-    _add_shared(g, "--budget-nodes", DEFAULT_NODE_BUDGET)
-    g.add_argument("--k", type=_at_least(2, "path length"), required=True)
-    g.add_argument("--seeds", type=_at_least(1, "trial count"), default=20)
-    g.add_argument("--exhaustive", action="store_true")
-
-
-_GRAPHS_SUBCOMMANDS = {
-    "count": _add_count,
-    "semiinduced": _add_semiinduced,
-    "fliproundtrip": _add_fliproundtrip,
+#: the CLI's grammar: each leaf subcommand by the words that name it
+_LEAVES = {
+    ("seq",): _Leaf(
+        "growth-sequence prefix of an expression",
+        _TUPLE_BUDGET,
+        positionals=(_Arg("expr_file", "expr_file"),),
+        flags=(
+            _Arg("--max-n", "max_n", _at_least(1, "prefix length"), default=8),
+            _Arg("--trunc-m", "trunc_m", _at_least(1, "truncation level")),
+            _Arg("--oracle-check", "oracle_check", bool, default=False),
+        ),
+    ),
+    ("bounds",): _Leaf(
+        "growth-bound verdicts",
+        _TUPLE_BUDGET,
+        positionals=(_Arg("expr_file", "expr_file"),),
+        flags=(
+            _Arg("--max-n", "max_n", _at_least(10, "prefix length"), default=30),
+            _Arg("--grid", "grid"),
+        ),
+    ),
+    ("oeis",): _Leaf(
+        "compare a sequence against a b-file",
+        _TUPLE_BUDGET,
+        one_of=(
+            _Arg("--seq", "named_seq", choices=("bell", "bell2", "meet-trivial-pairs")),
+            _Arg("--expr", "expr_file"),
+        ),
+        flags=(
+            _Arg("--use-s", "use_s", bool, default=False),
+            _Arg("--bfile", "bfile", required=True),
+            _Arg("--max-n", "max_n", _at_least(0, "prefix length"), default=12),
+            _Arg("--offset", "offset", int),
+        ),
+    ),
+    ("graphs", "count"): _Leaf(
+        "labelled members on n vertices",
+        _NODE_BUDGET,
+        flags=(
+            _Arg("--class-file", "class_file", required=True),
+            _Arg("--mode", "mode", choices=("generators", "forbidden"), required=True),
+            _Arg("--n", "n", _at_least(0, "vertex count"), required=True),
+        ),
+    ),
+    ("graphs", "semiinduced"): _Leaf(
+        "largest semi-induced half-graph",
+        _NODE_BUDGET,
+        flags=(
+            _Arg("--graph-file", "graph_file", required=True),
+            _Arg("--lax", "lax", bool, default=False),
+        ),
+    ),
+    ("graphs", "fliproundtrip"): _Leaf(
+        "flip recovery round trips",
+        _NODE_BUDGET,
+        flags=(
+            _Arg("--k", "k", _at_least(2, "path length"), required=True),
+            _Arg("--seeds", "seeds", _at_least(1, "trial count"), default=20),
+            _Arg("--exhaustive", "exhaustive", bool, default=False),
+        ),
+    ),
+    ("witness",): _Leaf(
+        "order and coding witness searches",
+        _NODE_BUDGET,
+        positionals=(_Arg("kind", "kind", choices=("order", "coding")), _Arg("rel_file", "rel_file")),
+        flags=(
+            _Arg("--size", "size", _at_least(1, "witness size"), required=True),
+            _Arg("--k", "k", _at_least(1, "side width")),
+        ),
+    ),
 }
 
 
-def _add_witness(sub) -> None:
-    p = sub.add_parser("witness", help="order and coding witness searches")
-    _add_shared(p, "--budget-nodes", DEFAULT_NODE_BUDGET)
-    p.add_argument("kind", choices=("order", "coding"))
-    p.add_argument("rel_file")
-    p.add_argument("--size", type=_at_least(1, "witness size"), required=True)
-    p.add_argument("--k", type=_at_least(1, "side width"), default=None)
+def _value(arg: _Arg, text: str | None):
+    """arg's value for text, converted and checked as argparse does, or
+    None where argparse would not take text as written for it (None
+    for a flag's missing value)."""
+    if text is None or text.startswith("-"):
+        return None
+    try:
+        value = arg.kind(text)
+    except ValueError:
+        return None
+    if arg.choices is not None and value not in arg.choices:
+        return None
+    return value
 
 
-_SUBCOMMANDS = {
-    "seq": _add_seq,
-    "bounds": _add_bounds,
-    "oeis": _add_oeis,
-    "graphs": _GRAPHS_SUBCOMMANDS,
-    "witness": _add_witness,
-}
+def _read_command_line(argv) -> SimpleNamespace | None:
+    """The namespace argparse makes of argv, read from the flag table:
+    the same attributes with the same values, so vars() of the two are
+    equal.  None for a line not taken as written, which argparse then
+    reads: an unknown token (-h, an abbreviated flag, --flag=value), a
+    flag with no value or a value starting with '-', a repeated flag, a
+    value failing its conversion, minimum or choices, the wrong number
+    of positionals, a missing required flag, or an oeis line with both
+    or neither of --seq and --expr."""
+    words = tuple(argv[:1])
+    leaf = _LEAVES.get(words)
+    if leaf is None:
+        words = tuple(argv[:2])
+        leaf = _LEAVES.get(words)
+        if leaf is None:
+            return None
+    values = {"command": words[0]}
+    if len(words) == 2:
+        values["graphs_command"] = words[1]
+    args = leaf.args()
+    values.update((arg.dest, arg.default) for arg in args)
+    flags = {arg.spelling: arg for arg in args if arg.spelling.startswith("-")}
+    given = set()
+    texts = []
+    tokens = iter(argv[len(words):])
+    for token in tokens:
+        if not token.startswith("-"):
+            texts.append(token)
+            continue
+        arg = flags.get(token)
+        if arg is None or token in given:
+            return None
+        given.add(token)
+        if arg.kind is bool:
+            values[arg.dest] = True
+            continue
+        value = values[arg.dest] = _value(arg, next(tokens, None))
+        if value is None:
+            return None
+    if len(texts) != len(leaf.positionals):
+        return None
+    for arg, text in zip(leaf.positionals, texts):
+        value = values[arg.dest] = _value(arg, text)
+        if value is None:
+            return None
+    if any(arg.required and spelling not in given for spelling, arg in flags.items()):
+        return None
+    if leaf.one_of and sum(arg.spelling in given for arg in leaf.one_of) != 1:
+        return None
+    return SimpleNamespace(**values)
 
 
-def _add_subcommands(parser: argparse.ArgumentParser, dest: str, adders: dict, words: list[str]) -> None:
-    """Give parser the subcommands in adders: only the one words[0]
-    names, when it names one, else all of them.  A lone subcommand gets
-    the metavar that lists every name, so the usage line in an error
-    reads as with all of them; an error that names the subcommand
-    itself (missing or invalid) occurs only without one.  A dict in
-    adders is the nested graphs group, narrowed in turn by words[1]."""
-    name = words[0] if words and words[0] in adders else None
-    if name is None:
-        sub = parser.add_subparsers(dest=dest, required=True)
-    else:
-        sub = parser.add_subparsers(dest=dest, required=True, metavar="{" + ",".join(adders) + "}")
-    for key in adders if name is None else [name]:
-        add = adders[key]
-        if isinstance(add, dict):
-            group = sub.add_parser(key, help="hereditary class and half-graph tools")
-            _add_subcommands(group, f"{key}_command", add, words[1:] if name else [])
-        else:
-            add(sub)
+def build_parser():
+    """The argparse parser of the whole flag table.  It prints help and
+    usage errors, and parses the lines _read_command_line declines."""
+    import argparse
 
+    def typed(kind):
+        # argparse prints the message of an ArgumentTypeError only
+        if kind in (int, str):
+            return kind
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The growthlab argument parser.
+        def parse(text: str):
+            try:
+                return kind(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
 
-    Given the command line it will parse, it registers only the
-    subcommand (and graphs subcommand) that line names, so one command
-    builds two or three parsers rather than all twelve.  Without one,
-    or when its first word names no subcommand, it registers them all.
-    Either way a command line parses to the same Namespace and prints
-    the same help and errors.
-    """
+        return parse
+
     parser = argparse.ArgumentParser(
         prog="growthlab",
         description="Exact growth sequences, growth bounds and witness searches.",
     )
-    _add_subcommands(parser, "command", _SUBCOMMANDS, [] if argv is None else list(argv))
+    commands = parser.add_subparsers(dest="command", required=True)
+    graphs = None
+    for words, leaf in _LEAVES.items():
+        sub = commands
+        if words[0] == "graphs":
+            if graphs is None:
+                group = commands.add_parser("graphs", help="hereditary class and half-graph tools")
+                graphs = group.add_subparsers(dest="graphs_command", required=True)
+            sub = graphs
+        p = sub.add_parser(words[-1], help=leaf.help)
+        one_of = p.add_mutually_exclusive_group(required=True) if leaf.one_of else None
+        for arg in leaf.args():
+            target = one_of if arg in leaf.one_of else p
+            if arg.kind is bool:
+                target.add_argument(arg.spelling, action="store_true", dest=arg.dest)
+            elif arg.spelling.startswith("-"):
+                target.add_argument(
+                    arg.spelling,
+                    dest=arg.dest,
+                    type=typed(arg.kind),
+                    choices=arg.choices,
+                    default=arg.default,
+                    required=arg.required,
+                )
+            else:
+                target.add_argument(arg.spelling, type=typed(arg.kind), choices=arg.choices)
     return parser
 
 
@@ -581,7 +692,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact terms can run past 4,300 digits
-    args = build_parser(argv).parse_args(argv)
+    args = _read_command_line(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     command = args.command
     if command == "graphs":
         command = f"graphs {args.graphs_command}"

@@ -1,11 +1,11 @@
 """End-to-end CLI behaviour: envelopes, exit codes, formats, determinism."""
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -161,6 +161,39 @@ def test_trunc_m_below_one_is_input_error_without_the_oracle_check():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "argument --trunc-m: truncation level must be at least 1, got 0" in proc.stderr
+
+
+def test_trunc_m_without_the_oracle_check_is_input_error():
+    proc = run_cli("seq", E_REL, "--max-n", "3", "--trunc-m", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--trunc-m only applies with --oracle-check" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("seq", "{absent}", "--max-n", "0"), "argument --max-n: prefix length must be at least 1, got 0"),
+        (("bounds", "{absent}", "--max-n", "5"), "argument --max-n: prefix length must be at least 10, got 5"),
+        (
+            ("oeis", "--expr", "{absent}", "--bfile", "{absent}", "--max-n", "-1"),
+            "argument --max-n: prefix length must be at least 0, got -1",
+        ),
+        (
+            ("graphs", "count", "--class-file", "{absent}", "--mode", "forbidden", "--n", "-1"),
+            "argument --n: vertex count must be at least 0, got -1",
+        ),
+    ],
+    ids=["seq", "bounds", "oeis", "graphs count"],
+)
+def test_prefix_and_vertex_minimums_exit_before_any_file_is_read(tmp_path, argv, message):
+    # the input file does not exist: reading it would fail differently
+    absent = str(tmp_path / "absent.txt")
+    proc = run_cli(*(a.format(absent=absent) for a in argv))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "absent.txt" not in proc.stderr
 
 
 def test_oracle_check_reports_bfs_levels_deterministically():
@@ -645,21 +678,21 @@ REQUIRED_LEFT_OUT = {
 }
 
 
-def parse_outcome(parser, argv):
-    """What parsing argv prints and returns: (exit code or None,
-    stdout, stderr, the Namespace as a dict)."""
+def outcome(call, argv):
+    """What call(argv) prints and returns: (exit code or None, stdout,
+    stderr, the result)."""
     out, err = io.StringIO(), io.StringIO()
-    code, namespace = None, None
+    code, result = None, None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            namespace = vars(parser.parse_args(argv))
+            result = call(list(argv))
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue(), err.getvalue(), namespace
+    return code, out.getvalue(), err.getvalue(), result
 
 
 @pytest.mark.parametrize("command", sorted(BUDGET_OF_SUBCOMMAND))
-def test_parser_for_one_command_matches_the_full_parser(tmp_path, monkeypatch, command):
+def test_reader_agrees_with_argparse(tmp_path, command):
     make_argv, budget = BUDGET_OF_SUBCOMMAND[command]
     valid = tuple(make_argv(tmp_path))
     prefix = valid[: len(command.split())]
@@ -670,27 +703,29 @@ def test_parser_for_one_command_matches_the_full_parser(tmp_path, monkeypatch, c
         "bad choice": valid + ("--format", "xml"),
         "budget": valid + (budget, "0"),
         "unknown flag": valid + ("--bogus",),
+        "repeated flag": valid + ("--format", "csv", "--format", "json"),
+        "negative seed": valid + ("--seed", "-3"),
+        "abbreviated flag": valid + ("--determ",),
+        "flag=value": valid + ("--seed=5",),
     }
-    made = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        made.append(self)
-        init(self, *args, **kwargs)
-
+    if "--max-n" in valid:
+        at = valid.index("--max-n")
+        probes["--max"] = valid[:at] + ("--max",) + valid[at + 1 :]
+        probes["--max-n="] = valid[:at] + ("--max-n=" + valid[at + 1],) + valid[at + 2 :]
+    if command == "oeis":
+        probes["negative offset"] = valid + ("--offset", "-1")
+    assert cli._read_command_line(list(valid)) is not None
     for name, argv in probes.items():
-        full = parse_outcome(cli.build_parser(), list(argv))
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        made.clear()
-        narrow = parse_outcome(cli.build_parser(list(argv)), list(argv))
-        monkeypatch.undo()
-        assert narrow == full, name
-        # the top parser and the leaf, and for graphs the group between
-        assert len(made) == len(prefix) + 1, name
-        if name == "valid":
-            assert full[0] is None and full[3]["command"] == prefix[0]
+        code, out, err, namespace = outcome(cli.build_parser().parse_args, argv)
+        read = cli._read_command_line(list(argv))
+        if read is not None:
+            assert code is None and vars(read) == vars(namespace), name
+        if code is None:
+            assert namespace.command == prefix[0], name
         else:
-            assert full[0] in (0, 2) and full[1] + full[2], name
+            # argparse prints help or a usage error, and main prints the same
+            assert code in (0, 2) and out + err, name
+            assert outcome(cli.main, argv)[:3] == (code, out, err), name
 
 
 def test_help_lists_every_command():
@@ -720,6 +755,62 @@ def test_importing_the_cli_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, False]
+
+
+TOP_HELP = """\
+usage: growthlab [-h] {seq,bounds,oeis,graphs,witness} ...
+
+Exact growth sequences, growth bounds and witness searches.
+
+positional arguments:
+  {seq,bounds,oeis,graphs,witness}
+    seq                 growth-sequence prefix of an expression
+    bounds              growth-bound verdicts
+    oeis                compare a sequence against a b-file
+    graphs              hereditary class and half-graph tools
+    witness             order and coding witness searches
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+GRAPHS_COUNT_HELP = """\
+usage: growthlab graphs count [-h] [--format {json,csv}] [--seed SEED]
+                              [--deterministic] [--budget-nodes BUDGET_NODES]
+                              --class-file CLASS_FILE --mode
+                              {generators,forbidden} --n N
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,csv}
+  --seed SEED
+  --deterministic
+  --budget-nodes BUDGET_NODES
+  --class-file CLASS_FILE
+  --mode {generators,forbidden}
+  --n N
+"""
+
+
+def test_a_valid_line_loads_no_argparse_and_help_is_unchanged():
+    # argparse's first use imports gettext, which imports locale; a valid
+    # line is read from the flag table without them
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import growthlab.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = growthlab.cli.main(['seq', {E_REL!r}, '--max-n', '3'])\n"
+        "print(json.dumps([code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+    env = dict(os.environ, COLUMNS="80")
+    for argv, text in ((("-h",), TOP_HELP), (("graphs", "count", "-h"), GRAPHS_COUNT_HELP)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "growthlab", *argv], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, text, "")
 
 
 # ---------------------------------------------------------------------------
