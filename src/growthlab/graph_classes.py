@@ -17,12 +17,12 @@ whole count.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import factorial
 from typing import Iterable, Iterator
 
 from .errors import DEFAULT_NODE_BUDGET, CapacityError, ParseError, numbered_lines
+from .record import Record
 
 MODE_GENERATORS = "generators"
 MODE_FORBIDDEN = "forbidden"
@@ -32,8 +32,7 @@ MODE_FORBIDDEN = "forbidden"
 _BIT_DIGITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph on vertices 0..v-1 with adjacency bitsets.
 
     ``adj[u]`` has bit w set iff u and w are adjacent; no self-loops.
@@ -97,8 +96,7 @@ class Graph:
                 if self.adj[u] >> w & 1:
                     yield (u, w)
 
-@dataclass(frozen=True)
-class FlipSpec:
+class FlipSpec(Record):
     """A symmetric set of class pairs to complement between.
 
     Classes are 0..t-1; (i, j) in pairs always comes with (j, i).  The
@@ -142,8 +140,7 @@ class FlipSpec:
         return sorted({(min(i, j), max(i, j)) for i, j in self.pairs})
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(Record):
     """A hereditary graph class, by generators or forbidden subgraphs.
 
     generators: the class is every graph isomorphic to an induced

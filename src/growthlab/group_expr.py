@@ -27,13 +27,13 @@ that the truncation oracle counts orbits of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Sequence, Union
 
 from .errors import CapacityError, ParseError
 from .orbit_oracle import DEFAULT_TUPLE_BUDGET, FinPermGroup, count_orbits_injective
+from .record import Record
 from .seq_core import (
     BoundReport,
     IntSeq,
@@ -58,13 +58,11 @@ DEFAULT_C_GRID: tuple[Fraction, ...] = (Fraction(2),)
 MAX_TRUNC_DEGREE = 4096
 
 
-@dataclass(frozen=True)
-class Finite:
+class Finite(Record):
     group: FinPermGroup
 
 
-@dataclass(frozen=True)
-class DirectProduct:
+class DirectProduct(Record):
     factors: tuple["GroupExpr", ...]
 
     def __post_init__(self):
@@ -72,8 +70,7 @@ class DirectProduct:
             raise ValueError("a direct product needs at least two factors")
 
 
-@dataclass(frozen=True)
-class WreathSomega:
+class WreathSomega(Record):
     base: "GroupExpr"
 
 

@@ -49,17 +49,16 @@ tuple space, not the work of the descent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import perm
 from operator import itemgetter
 
 from .errors import CapacityError
+from .record import Record
 
 DEFAULT_TUPLE_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class FinPermGroup:
+class FinPermGroup(Record):
     """A finite permutation group on points 0..degree-1, by generators.
 
     Generators are image tuples: g maps point p to g[p].  The identity
@@ -94,8 +93,7 @@ class FinPermGroup:
         return cls(degree, (swap, cycle))
 
 
-@dataclass(frozen=True)
-class OrbitCount:
+class OrbitCount(Record):
     """Result of one orbit count, with telemetry.
 
     ``counts`` holds the orbits on k-tuples for k = 0..n, ``count`` is

@@ -20,11 +20,12 @@ to the sequence.  The module holds no state between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from operator import add, index, mul, sub
 from typing import Iterator, Sequence, Union
+
+from .record import Record
 
 Rational = Union[int, Fraction]
 
@@ -33,8 +34,7 @@ KIND_BELL_LOWER = "bell-lower"
 KIND_FACTORIAL_UPPER = "factorial-upper"
 
 
-@dataclass(frozen=True)
-class IntSeq:
+class IntSeq(Record):
     """A finite prefix (a_0, ..., a_N) of a non-negative integer sequence.
 
     ``values[n]`` is a_n; indexing is always from 0.  Instances are
@@ -68,8 +68,7 @@ class IntSeq:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Outcome of one growth-bound check over an index interval.
 
     kind is one of the KIND_* constants.  Which parameter fields are

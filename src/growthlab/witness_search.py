@@ -19,13 +19,13 @@ and share no machinery with the searchers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import or_
 from typing import Union
 
 from .errors import DEFAULT_NODE_BUDGET, ParseError, numbered_lines
+from .record import Record
 
 STATUS_FOUND = "found"
 STATUS_NONE = "none"
@@ -36,8 +36,7 @@ class _BudgetHit(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class FinRelation:
+class FinRelation(Record):
     """A finite relation: a set of arity-tuples over 0..universe-1."""
 
     universe: int
@@ -64,8 +63,7 @@ class FinRelation:
         object.__setattr__(self, "tuples", tuples)
 
 
-@dataclass(frozen=True)
-class OrderWitness:
+class OrderWitness(Record):
     """Sequences realising the i < j edge pattern."""
 
     a_seq: tuple[int, ...]
@@ -86,8 +84,7 @@ class OrderWitness:
         return len(self.a_seq)
 
 
-@dataclass(frozen=True)
-class CodingWitness:
+class CodingWitness(Record):
     """An m x m grid of private points indexed by two k-tuple sides.
 
     Side entries are always tuples, even for k = 1.  The table is an
@@ -130,8 +127,7 @@ class CodingWitness:
 Witness = Union[OrderWitness, CodingWitness]
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """Outcome of a witness search.
 
     status is found, none, or indeterminate.  none means the search

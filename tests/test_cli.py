@@ -395,6 +395,15 @@ def test_oeis_requires_seq_or_expr():
     assert proc.returncode == 2
 
 
+def test_oeis_use_s_with_seq_exits_before_the_bfile_is_read(tmp_path):
+    # the b-file does not exist: reading it would fail differently
+    proc = run_cli("oeis", "--seq", "bell", "--use-s", "--bfile", str(tmp_path / "absent.txt"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--use-s only applies to --expr" in proc.stderr
+    assert "absent.txt" not in proc.stderr
+
+
 def test_oeis_repeated_bfile_index_is_input_error(tmp_path):
     bfile = tmp_path / "b_repeated.txt"
     bfile.write_text("0 1\n1 1\n1 2\n")
@@ -613,6 +622,15 @@ def test_witness_k_rejected_outside_tuplecoding():
     assert not proc.stdout
 
 
+def test_witness_k_with_order_exits_before_the_relation_is_read(tmp_path):
+    # the relation file does not exist: reading it would fail differently
+    proc = run_cli("witness", "order", str(tmp_path / "absent.rel"), "--size", "2", "--k", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--k only applies to coding, not order" in proc.stderr
+    assert "absent.rel" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "kind, flag, message",
     [
@@ -794,17 +812,23 @@ options:
 
 def test_a_valid_line_loads_no_argparse_and_help_is_unchanged():
     # argparse's first use imports gettext, which imports locale; a valid
-    # line is read from the flag table without them
+    # line is read from the flag table without them.  The record classes
+    # need no dataclasses (which imports inspect), and csv and traceback
+    # load only for CSV output and internal errors
+    unloaded = ["argparse", "csv", "dataclasses", "gettext", "inspect", "locale", "traceback"]
     script = (
         "import contextlib, io, json, sys\n"
         "import growthlab.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = growthlab.cli.main(['seq', {E_REL!r}, '--max-n', '3'])\n"
-        "print(json.dumps([code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))]))\n"
+        f"loaded = sorted(set({unloaded!r}) & set(sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    csv_code = growthlab.cli.main(['seq', {E_REL!r}, '--max-n', '3', '--format', 'csv'])\n"
+        "print(json.dumps([code, loaded, csv_code, out.getvalue().splitlines()[0]]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, []]
+    assert json.loads(proc.stdout) == [0, [], 0, "name,n,value,verdict,detail"]
     env = dict(os.environ, COLUMNS="80")
     for argv, text in ((("-h",), TOP_HELP), (("graphs", "count", "-h"), GRAPHS_COUNT_HELP)):
         proc = subprocess.run(

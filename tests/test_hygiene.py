@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses or defines a
 private name it never reads, the package exports exactly the public
-names its __init__ binds, and the orbit counts sit below the expression
-layer."""
+names its __init__ binds, the orbit counts sit below the expression
+layer, and no module imports dataclasses."""
 from __future__ import annotations
 
 import ast
@@ -23,6 +23,19 @@ def _imported(tree: ast.Module) -> dict[str, int]:
             for alias in node.names:
                 names[alias.asname or alias.name] = node.lineno
     return names
+
+
+def _imported_modules(tree: ast.Module) -> list[str]:
+    """The modules the tree's imports name, absolute or relative."""
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+            if node.level and not node.module:  # from . import group_expr
+                modules += [alias.name for alias in node.names]
+    return modules
 
 
 def test_no_unused_module_imports():
@@ -75,13 +88,16 @@ def test_exports_match_the_names_init_binds():
 
 
 def test_orbit_oracle_imports_nothing_from_the_expression_layer():
-    tree = ast.parse((SRC / "orbit_oracle.py").read_text())
-    modules = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            modules.append(node.module or "")
-            if node.level and not node.module:  # from . import group_expr
-                modules += [alias.name for alias in node.names]
+    modules = _imported_modules(ast.parse((SRC / "orbit_oracle.py").read_text()))
     assert [m for m in modules if m.split(".")[-1] == "group_expr"] == []
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses imports inspect, ast and dis, and each decorated class
+    # compiles its methods at import: the record classes subclass Record
+    importing = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if "dataclasses" in _imported_modules(ast.parse(path.read_text()))
+    ]
+    assert importing == []
