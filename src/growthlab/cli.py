@@ -207,7 +207,7 @@ def _parse_grid(text: str):
     for part in text.split(","):
         part = part.strip()
         if not part:
-            raise ValueError("empty grid entry")
+            raise ParseError("empty grid entry")
         try:
             if ":" in part:
                 c_text, d_text = part.split(":", 1)
@@ -215,18 +215,17 @@ def _parse_grid(text: str):
             else:
                 consts.append(Fraction(part))
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad grid entry {part!r}") from None
+            raise ParseError(f"bad grid entry {part!r}") from None
     return tuple(cells) or None, tuple(consts) or None
 
 
 def _cmd_bounds(args, rows, tel, config) -> int:
+    cell_grid, c_grid = (None, None) if args.grid is None else _parse_grid(args.grid)
     expr = parse_expr(Path(args.expr_file).read_text())
     config["expr"] = format_expr(expr)
     config["max_n"] = args.max_n
-    cell_grid = c_grid = None
     if args.grid is not None:
         config["grid"] = args.grid
-        cell_grid, c_grid = _parse_grid(args.grid)
     label = _CLASS_LABELS[classify(expr)]
     if label == "finite":
         rows.append(
@@ -284,6 +283,8 @@ def _cmd_oeis(args, rows, tel, config) -> int:
     config["max_n"] = args.max_n
     offset = min(entries) if args.offset is None else args.offset
     config["offset"] = offset
+    if not any(offset <= n <= offset + args.max_n for n in entries):
+        raise ParseError("no overlap between the computed range and the b-file")
 
     if args.named_seq is not None:
         config["seq"] = args.named_seq
@@ -318,8 +319,6 @@ def _cmd_oeis(args, rows, tel, config) -> int:
         )
         if not ok:
             code = EXIT_NEGATIVE
-    if compared == 0:
-        raise ValueError("no overlap between the computed range and the b-file")
     rows.append(
         {
             "name": "summary",

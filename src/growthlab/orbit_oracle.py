@@ -33,11 +33,25 @@ elements, all permutations of the d points.
 
 Three rules keep the work small.  At the last position a node only
 counts the orbits.  A trivial H closes with the falling factorials
-perm(f, j) of its f free points, or d^j for counts of all tuples.  The
-free points that H fixes are one child, counted once per such point,
-because a permutation that swaps two of them commutes with H.  The
-work grows with the orbits of the prefixes, not with the number of
-tuples or sets of points.
+perm(f, j) of its f free points, or d^j for counts of all tuples.  And
+a node expands one orbit per class of interchangeable orbits.  Two
+orbits O and O' of H on the free points are interchangeable when a
+bijection phi: O -> O' has phi(s(p)) = s(phi(p)) for every generator s
+of H and every p in O.  The permutation pi that swaps O with O' along
+phi and fixes every other point then commutes with every generator, so
+with H, and maps the free points to themselves.  So H_phi(x) =
+pi H_x pi^-1, and the children at x and at phi(x) count the same
+orbits: the node descends from the first orbit of a class only, and
+counts its child once per orbit of the class.  The points that H fixes
+are one class, whose child keeps the generators of H, as H_x = H.  A
+map phi is found by following the generator edges of O from a guess
+phi(x) = t, which either defines phi or fails.  Orbits are compared
+only within a bucket of equal size that the same generators fix
+pointwise, and t is guessed only where its cycle lengths under the
+generators equal those of x.  So a node with no interchangeable orbits
+pays about |O| |S| steps per orbit O, with S its generators, as it did
+to find the orbit.  The work grows with the classes of orbits of the
+prefixes, not with the number of tuples or sets of points.
 
 Telemetry.  OrbitCount.nodes counts the stabilizers whose orbits were
 computed and OrbitCount.sifted the Schreier elements put through the
@@ -121,6 +135,75 @@ def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _classes(gens: list, orbits: list[list[int]]) -> list[tuple[list[int], int]]:
+    """The orbits in classes of interchangeable ones (module docstring):
+    the first orbit of each class, with the number of orbits in it."""
+    found = {}  # bucket key -> [[first orbit of a class, its size], ...]
+    for orbit in orbits:
+        if len(orbit) == 1:
+            key = 1
+        else:
+            # the orbits of a class agree on their size and on which
+            # generators fix them pointwise
+            images = itemgetter(*orbit)
+            fixed = tuple(orbit)
+            key = (len(orbit), *[images(s) == fixed for s in gens])
+        bucket = found.setdefault(key, [])
+        if not bucket:
+            bucket.append([orbit, 1])
+        elif key == 1:
+            # any two fixed points are interchangeable
+            bucket[0][1] += 1
+        else:
+            lengths = _cycle_lengths(gens, orbit)
+            for entry in bucket:
+                first = entry[0]
+                root = _cycle_lengths(gens, first)[first[0]]
+                if any(lengths[t] == root and _commutes(gens, first, t) for t in orbit):
+                    entry[1] += 1
+                    break
+            else:
+                bucket.append([orbit, 1])
+    return [(first, size) for bucket in found.values() for first, size in bucket]
+
+
+def _cycle_lengths(gens: list, orbit: list[int]) -> dict[int, tuple[int, ...]]:
+    """For each point of the orbit, the length of its cycle under each
+    generator in turn."""
+    lengths = {p: [] for p in orbit}
+    for s in gens:
+        done = set()
+        for p in orbit:
+            if p in done:
+                continue
+            cycle = [p]
+            q = s[p]
+            while q != p:
+                cycle.append(q)
+                q = s[q]
+            done.update(cycle)
+            for q in cycle:
+                lengths[q].append(len(cycle))
+    return {p: tuple(v) for p, v in lengths.items()}
+
+
+def _commutes(gens: list, orbit: list[int], t: int) -> bool:
+    """Whether x -> t, x the first point of the orbit, extends along the
+    generator edges to a map phi with phi(s(p)) = s(phi(p)) for every
+    generator s and every point p of the orbit.  Such a phi maps the orbit
+    onto the orbit of t, so it is one-to-one when the two have one size."""
+    phi = {orbit[0]: t}
+    # the orbit lists its points in the order the generators reached them
+    # from x, so phi is known at each y before its edges are followed
+    for y in orbit:
+        py = phi[y]
+        for s in gens:
+            image = s[py]
+            if phi.setdefault(s[y], image) != image:
+                return False
+    return True
+
+
 class _Descent:
     """One count: its constants, its counters, and the descent itself."""
 
@@ -153,18 +236,12 @@ class _Descent:
         if r == 1:
             return [1, len(orbits)]
         counts = [1] + [0] * r
-        fixed = []
-        for orbit in orbits:
+        for orbit, size in _classes(gens, orbits):
             x = orbit[0]
-            if len(orbit) == 1:
-                fixed.append(x)
-                continue
-            for j, c in enumerate(self.descend(self.stabilizer(gens, x), self.after(free, x), r - 1), 1):
-                counts[j] += c
-        if fixed:
-            # H_x = H for each fixed x, and the children of all of them agree
-            for j, c in enumerate(self.descend(gens, self.after(free, fixed[0]), r - 1), 1):
-                counts[j] += len(fixed) * c
+            # H_x = H when H fixes x
+            child = gens if len(orbit) == 1 else self.stabilizer(gens, x)
+            for j, c in enumerate(self.descend(child, self.after(free, x), r - 1), 1):
+                counts[j] += size * c
         return counts
 
     def after(self, free: list[int], x: int) -> list[int]:

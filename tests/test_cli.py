@@ -210,6 +210,22 @@ def test_oracle_check_reports_bfs_levels_deterministically():
     assert int(tel["tuples_visited"]) > 0
 
 
+def test_oracle_check_on_wide_2628_pins_its_work(tmp_path):
+    # levels m = 4 and 5 of the wide-2628 shape, each counted to n = 4.
+    # Interchangeable orbits share one descent; one descent per orbit
+    # took 378 nodes and 18,268 sifted elements.
+    expr = tmp_path / "wide2628.expr"
+    expr.write_text("(wr (prod (finite 3) (wr (finite 1))))\n")
+    code, env = cli_json("seq", str(expr), "--max-n", "4", "--trunc-m", "4", "--oracle-check", "--deterministic")
+    assert code == 0
+    rows = rows_by_name(env, "oracle-l")
+    assert [(r["n"], r["oracle"]["trunc_m"], r["verdict"]) for r in rows] == [
+        (str(n), str(m), "match") for n in range(1, 5) for m in (4, 5)
+    ]
+    assert [r["value"] for r in rows] == ["4", "4", "29", "29", "254", "254", "2628", "2628"]
+    assert (env["telemetry"]["oracle_nodes"], env["telemetry"]["oracle_sifted"]) == ("94", "5528")
+
+
 def test_cli_imports_no_third_party_package():
     # None in sys.modules makes every import of numpy fail; the import of
     # the CLI adds only standard-library modules, and an oracle check runs
@@ -301,6 +317,15 @@ def test_bounds_bad_grid_is_input_error(tmp_path):
     assert proc.returncode == 2
 
 
+def test_bounds_bad_grid_exits_before_the_expression_is_read(tmp_path):
+    # the expression file does not exist: reading it would fail differently
+    proc = run_cli("bounds", str(tmp_path / "absent.expr"), "--grid", "2,1:nonsense")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "bad grid entry '1:nonsense'" in proc.stderr
+    assert "absent.expr" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # oeis
 
@@ -334,6 +359,20 @@ def test_oeis_mismatch_is_expected_negative():
 def test_oeis_disjoint_ranges_are_input_error():
     proc = run_cli("oeis", "--seq", "bell", "--bfile", B110, "--offset", "900")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("source", [("--seq", "bell"), ("--expr", E_REL)], ids=["seq", "expr"])
+def test_oeis_disjoint_ranges_exit_before_the_sequence_is_computed(source, monkeypatch, capsys):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("sequence computed for a range the b-file misses")
+
+    monkeypatch.setattr(cli, "bell", unexpected)
+    monkeypatch.setattr(cli, "eval_lseq", unexpected)
+    argv = ["oeis", *source, "--bfile", B110, "--offset", "100000", "--max-n", "2000"]
+    assert cli.main(argv) == cli.EXIT_INPUT == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "growthlab: no overlap between the computed range and the b-file\n"
 
 
 def test_oeis_deep_meet_trivial_pairs(tmp_path):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import resource
 import time
-from math import comb, factorial, perm
+from math import comb, factorial, gcd, perm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +30,10 @@ ZOO = {
     "s3xs2": FinPermGroup(5, ((1, 0, 2, 3, 4), (1, 2, 0, 3, 4), (0, 1, 2, 4, 3))),
     # S3 on {0, 2, 5} times C3 on {1, 3, 4}, by (0 5 2) and (0 2)(1 3 4)
     "s3xc3": FinPermGroup(6, ((5, 1, 0, 3, 4, 2), (2, 3, 0, 4, 1, 5))),
+    # C3 x C3 = <a, b> on its cosets of <ab>, <ab^2> and <ab> again: three
+    # orbits on which a and b are 3-cycles, but only the first and the
+    # last are interchangeable (ab fixes the first, not the second)
+    "c3xc3-cosets": FinPermGroup(9, ((1, 2, 0, 4, 5, 3, 7, 8, 6), (2, 0, 1, 4, 5, 3, 8, 6, 7))),
 }
 
 
@@ -56,6 +60,31 @@ def cycle_groups(draw, max_degree: int):
                 image[a] = b
         gens.append(tuple(image))
     return FinPermGroup(degree, tuple(gens))
+
+
+@st.composite
+def copied_groups(draw):
+    """A small group acting on 2 or 3 disjoint copies of its points, each
+    copy relabelled.  In some copies after the first, each generator acts
+    by a power of itself prime to its order instead: that keeps the cycle
+    lengths of every point but can change the stabilizers, so the orbits
+    of such a copy are alike to those of the first, yet need not be
+    interchangeable with them."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    base = draw(st.lists(st.permutations(range(d)), min_size=2, max_size=3))
+    copies = draw(st.integers(min_value=2, max_value=3))
+    gens = [[] for _ in base]
+    for c in range(copies):
+        relabel = draw(st.permutations(range(d)))
+        twist = c > 0 and draw(st.booleans())
+        for g, image in zip(base, gens):
+            powers = [tuple(range(d))]
+            while powers[-1] != powers[0] or len(powers) == 1:
+                powers.append(tuple(g[p] for p in powers[-1]))
+            order = len(powers) - 1
+            e = draw(st.sampled_from([e for e in range(1, order + 1) if gcd(e, order) == 1])) if twist else 1
+            image.extend(c * d + relabel[powers[e][relabel.index(p)]] for p in range(d))
+    return FinPermGroup(copies * d, tuple(tuple(image) for image in gens))
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +268,60 @@ def test_random_generators_match_brute(g, n, injective):
 
 
 def test_many_small_orbits_share_their_levels():
-    # wide-2628: a node stands for an orbit of prefixes of at most n - 1
-    # points, so there are fewer nodes than orbits of 4-tuples
+    # wide-2628: a node stands for a class of interchangeable orbits of
+    # prefixes of at most n - 1 points.  At the root the three orbits of
+    # the points of (finite 3), each through every copy, are one class,
+    # and deeper nodes have more, so 47 nodes do the work of 189 (one per
+    # orbit).
     g = truncate_expr(parse_expr("(wr (prod (finite 3) (wr (finite 1))))"), 5)
     r = count_orbits_injective(g, 4)
-    assert r.count == 2628
-    assert 0 < r.nodes < r.count
+    assert (r.counts, r.nodes, r.sifted) == ((1, 4, 29, 254, 2628), 47, 3945)
 
 
 def test_acceptance_01_expands_one_node_per_prefix_orbit():
     # (wr (wr (finite 1))) at m = 6: the prefixes of 0..4 points fall
-    # into 1, 1, 2, 5 and 15 orbits, the Bell numbers
+    # into 1, 1, 2, 5 and 15 orbits, the Bell numbers.  No two orbits at
+    # a node are interchangeable, so the classes do no extra descent.
     g = truncate_expr(parse_expr("(wr (wr (finite 1)))"), 6)
     r = count_orbits_injective(g, 5, budget=10**8)
     assert (r.count, r.tuples_visited) == (52, perm(36, 5))
-    assert 0 < r.nodes <= 1 + 1 + 2 + 5 + 15
+    assert (r.nodes, r.sifted) == (1 + 1 + 2 + 5 + 15, 5714)
+
+
+@pytest.mark.parametrize(
+    "group, n, counts, nodes, sifted",
+    [
+        # the 12,254-orbit shape: 540 nodes, one per orbit of prefixes
+        (
+            truncate_expr(parse_expr("(wr (wr (prod (finite 3) (finite 3 full-sym))))"), 4),
+            4,
+            (1, 4, 45, 666, 12254),
+            102,
+            19245,
+        ),
+        # each pair is moved by its own generator, so no two of its
+        # orbits are interchangeable: one node per orbit of prefixes
+        (disjoint_transpositions(16), 4, (1, 16, 256, 4080, 64560), 4113, 101280),
+    ],
+    ids=["wreath-12254", "transpositions-16"],
+)
+def test_descent_work_with_and_without_interchangeable_orbits(group, n, counts, nodes, sifted):
+    r = count_orbits_injective(group, n, budget=10**8)
+    assert (r.counts, r.nodes, r.sifted) == (counts, nodes, sifted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(copied_groups())
+def test_copies_of_a_group_match_brute(g):
+    # the longest tuples that keep the brute-force oracle's |G| d^n
+    # tuple images few
+    size = len(oracles.group_closure(g.generators, g.degree))
+    n = max(k for k in range(1, 5) if size * g.degree**k <= 50_000 or k == 1)
+    for injective in (True, False):
+        count = count_orbits_injective if injective else count_orbits_all
+        r = count(g, n)
+        for k in range(n + 1):
+            assert r.counts[k] == oracles.brute_orbit_count(g.generators, g.degree, k, injective=injective), (k, injective)
 
 
 def test_telemetry_counts_visited_tuples():
