@@ -6,7 +6,7 @@ flip recovery on coloured paths, and searches for order and coding
 witnesses in finite relations.  All arithmetic is exact.
 """
 
-from .errors import CapacityError, ParseError
+from .errors import Budget, CapacityError, ParseError
 from .graph_classes import (
     ClassSpec,
     FlipSpec,
@@ -63,6 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
+    "Budget",
     "CapacityError",
     "ClassSpec",
     "CodingWitness",

@@ -46,7 +46,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
-from .errors import DEFAULT_NODE_BUDGET, CapacityError, ParseError, numbered_lines
+from .errors import DEFAULT_NODE_BUDGET, Budget, CapacityError, ParseError, numbered_lines
 from .graph_classes import (
     FlipSpec,
     count_labelled,
@@ -148,13 +148,14 @@ def _common_config(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each appends rows and returns an exit code
+# subcommand handlers; each appends rows and returns an exit code, and the
+# graphs and witness handlers spend the one node budget main hands them
 # ---------------------------------------------------------------------------
 
 
-def _cmd_seq(args, rows, tel, config) -> int:
+def _cmd_seq(args, rows, tel, config, budget) -> int:
     if args.trunc_m is not None and not args.oracle_check:
-        raise ValueError("--trunc-m only applies with --oracle-check")
+        raise ParseError("--trunc-m only applies with --oracle-check")
     expr = parse_expr(Path(args.expr_file).read_text())
     config["expr"] = format_expr(expr)
     config["max_n"] = args.max_n
@@ -219,7 +220,7 @@ def _parse_grid(text: str):
     return tuple(cells) or None, tuple(consts) or None
 
 
-def _cmd_bounds(args, rows, tel, config) -> int:
+def _cmd_bounds(args, rows, tel, config, budget) -> int:
     cell_grid, c_grid = (None, None) if args.grid is None else _parse_grid(args.grid)
     expr = parse_expr(Path(args.expr_file).read_text())
     config["expr"] = format_expr(expr)
@@ -275,9 +276,9 @@ def _parse_bfile(text: str) -> dict[int, int]:
     return entries
 
 
-def _cmd_oeis(args, rows, tel, config) -> int:
+def _cmd_oeis(args, rows, tel, config, budget) -> int:
     if args.use_s and args.named_seq is not None:
-        raise ValueError("--use-s only applies to --expr")
+        raise ParseError("--use-s only applies to --expr")
     entries = _parse_bfile(Path(args.bfile).read_text())
     config["bfile"] = args.bfile
     config["max_n"] = args.max_n
@@ -285,22 +286,24 @@ def _cmd_oeis(args, rows, tel, config) -> int:
     config["offset"] = offset
     if not any(offset <= n <= offset + args.max_n for n in entries):
         raise ParseError("no overlap between the computed range and the b-file")
+    top = min(args.max_n, max(entries) - offset)
 
     if args.named_seq is not None:
         config["seq"] = args.named_seq
         named = {"bell": bell, "bell2": bell2, "meet-trivial-pairs": meet_trivial_pairs}
-        seq = named[args.named_seq](args.max_n)
+        seq = named[args.named_seq](top)
     else:
         expr = parse_expr(Path(args.expr_file).read_text())
         config["expr"] = format_expr(expr)
         config["use_s"] = args.use_s
-        seq = eval_lseq(expr, args.max_n, budget=args.budget_tuples)
+        # at least l_0, l_1, as eval_lseq needs, unless --max-n 0, which it refuses
+        seq = eval_lseq(expr, max(top, min(args.max_n, 1)), budget=args.budget_tuples)
         if args.use_s:
             seq = stirling_transform(seq)
 
     compared = 0
     code = EXIT_OK
-    for i in range(args.max_n + 1):
+    for i in range(top + 1):
         target = i + offset
         if target not in entries:
             continue
@@ -329,13 +332,13 @@ def _cmd_oeis(args, rows, tel, config) -> int:
     return code
 
 
-def _cmd_graphs(args, rows, tel, config) -> int:
+def _cmd_graphs(args, rows, tel, config, budget) -> int:
     if args.graphs_command == "count":
         spec = parse_class_spec(Path(args.class_file).read_text(), args.mode)
         config["class_file"] = args.class_file
         config["mode"] = args.mode
         config["n"] = args.n
-        value = count_labelled(spec, args.n, node_budget=args.budget_nodes, counters=tel)
+        value = count_labelled(spec, args.n, budget=budget)
         rows.append({"name": "count_labelled", "n": args.n, "value": value})
         return EXIT_OK
 
@@ -343,20 +346,20 @@ def _cmd_graphs(args, rows, tel, config) -> int:
         graph = parse_graph(Path(args.graph_file).read_text())
         config["graph_file"] = args.graph_file
         config["lax"] = args.lax
-        value = semi_induced_order(
-            graph, lax=args.lax, node_budget=args.budget_nodes, counters=tel
-        )
+        value = semi_induced_order(graph, lax=args.lax, budget=budget)
         rows.append({"name": "semi_induced_order", "value": value})
         return EXIT_OK
 
-    # fliproundtrip: one node per trial, all counted before anything is
-    # built; 2^p exceeds the budget B iff p >= B.bit_length()
+    # fliproundtrip: one node per trial, all spent before anything is
+    # built; 2^p exceeds the budget B iff p >= B.bit_length(), so 2^p,
+    # which can run to 125,250 bits, is formed only when it fits
     k = config["k"] = args.k
     if args.exhaustive:
         config["exhaustive"] = True
         p = k * (k + 1) // 2
-        if p >= args.budget_nodes.bit_length():
-            raise CapacityError(f"2^{p} flip round trips: node budget {args.budget_nodes} exceeded")
+        budget.stage = f"2^{p} flip round trips"
+        if p >= budget.limit.bit_length():
+            raise CapacityError(f"{budget.stage}: node budget {budget.limit} exceeded")
         trials = 1 << p
         all_pairs = [(i, j) for i in range(k) for j in range(i, k)]
         specs = (
@@ -365,11 +368,10 @@ def _cmd_graphs(args, rows, tel, config) -> int:
         )
     else:
         trials = config["seeds"] = args.seeds
-        if trials > args.budget_nodes:
-            raise CapacityError(f"{trials} flip round trips: node budget {args.budget_nodes} exceeded")
+        budget.stage = f"{trials} flip round trips"
         rng = random.Random(args.seed)
         specs = (FlipSpec.random(k, rng) for _ in range(trials))
-    tel["nodes"] += trials
+    budget.spend(trials)
     clean = flipped_paths(k)
     failures = 0
     for idx, spec in enumerate(specs):
@@ -399,19 +401,18 @@ def _cmd_graphs(args, rows, tel, config) -> int:
     return EXIT_OK if failures == 0 else EXIT_NEGATIVE
 
 
-def _cmd_witness(args, rows, tel, config) -> int:
+def _cmd_witness(args, rows, tel, config, budget) -> int:
     if args.kind == "order" and args.k is not None:
-        raise ValueError("--k only applies to coding, not order")
+        raise ParseError("--k only applies to coding, not order")
     rel = parse_relation(Path(args.rel_file).read_text())
     config["rel_file"] = args.rel_file
     config["kind"] = args.kind
     config["size"] = args.size
     if args.kind == "order":
-        result = find_order_witness(rel, args.size, node_budget=args.budget_nodes)
+        result = find_order_witness(rel, args.size, budget=budget)
     else:
         k = config["k"] = 1 if args.k is None else args.k
-        result = find_coding_witness(rel, args.size, k, node_budget=args.budget_nodes)
-    tel["nodes"] += result.nodes
+        result = find_coding_witness(rel, args.size, k, budget=budget)
     rows.append({"name": "search", "verdict": result.status})
     if result.status == STATUS_INDETERMINATE:
         return EXIT_INDETERMINATE
@@ -705,8 +706,10 @@ def main(argv=None) -> int:
     rows: list[dict] = []
     tel: dict = {"tuples_visited": 0, "nodes": 0}
     config = _common_config(args)
+    # a command without --budget-nodes spends no nodes
+    budget = Budget(getattr(args, "budget_nodes", 0))
     try:
-        code = _HANDLERS[args.command](args, rows, tel, config)
+        code = _HANDLERS[args.command](args, rows, tel, config, budget)
     except CapacityError as exc:
         tel["capacity"] = str(exc)
         code = EXIT_CAPACITY
@@ -719,6 +722,7 @@ def main(argv=None) -> int:
         print(f"growthlab: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return EXIT_INTERNAL
+    tel["nodes"] = budget.spent
     if not args.deterministic:
         tel["wall_ms"] = int((time.perf_counter() - started) * 1000)
     envelope = {

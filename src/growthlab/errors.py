@@ -1,5 +1,5 @@
-"""Exceptions, the node-budget default and the line reader shared
-across growthlab modules."""
+"""Exceptions, the node budget and the line reader shared across
+growthlab modules."""
 
 #: nodes allowed to one search: a whole witness search, a whole labelled
 #: class count, or a whole semi-induced order search
@@ -12,6 +12,23 @@ class CapacityError(RuntimeError):
     Raised instead of a possibly wrong partial answer.  The message
     names the cap and the stage that hit it.
     """
+
+
+class Budget:
+    """Backtracking and enumeration nodes spent against one limit, in
+    time and in memory, by every search it is handed to in turn.
+    ``spent`` counts the overshooting nodes too; past the limit, spend
+    raises CapacityError naming the ``stage`` the search set."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.stage = "search"
+        self.spent = 0
+
+    def spend(self, nodes: int) -> None:
+        self.spent += nodes
+        if self.spent > self.limit:
+            raise CapacityError(f"{self.stage}: node budget {self.limit} exceeded")
 
 
 class ParseError(ValueError):

@@ -10,8 +10,9 @@ limit on their size.  Induced embeddings are found by backtracking on
 those bitsets.  Labelled counting enumerates the members on [n] only,
 never all 2^C(n,2) graphs: in generators mode as the relabellings of
 the generators' n-vertex induced subgraphs, in forbidden mode by
-extending each member on [k] by one vertex.  One node budget bounds a
-whole count.
+extending each member on [k] by one vertex.  A node Budget bounds a
+whole count or semi-induced search; one Budget handed to several of them
+bounds them together, and its ``spent`` is the work they did.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Iterable, Iterator
 
-from .errors import DEFAULT_NODE_BUDGET, CapacityError, ParseError, numbered_lines
+from .errors import DEFAULT_NODE_BUDGET, Budget, ParseError, numbered_lines
 from .record import Record
 
 MODE_GENERATORS = "generators"
@@ -30,6 +31,18 @@ MODE_FORBIDDEN = "forbidden"
 #: byte translation tables: _BIT_DIGITS[j] maps a byte to b"1" when its
 #: bit j is set and to b"0" otherwise
 _BIT_DIGITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
+
+
+def _columns(rows: tuple[int, ...]) -> list[int]:
+    """The columns of the square bit matrix with these rows.  Held as a
+    v x width byte matrix, byte w // 8 of every row is one strided
+    slice, and bit w % 8 of those bytes, spelled in binary digits, is
+    column w."""
+    v = len(rows)
+    width = (v + 7) // 8
+    full = (1 << v) - 1
+    matrix = b"".join((mask & full).to_bytes(width, "little") for mask in rows)
+    return [int(matrix[w >> 3 :: width].translate(_BIT_DIGITS[w & 7])[::-1], 2) for w in range(v)]
 
 
 class Graph(Record):
@@ -51,18 +64,13 @@ class Graph(Record):
         if len(adj) != self.v:
             raise ValueError("adjacency list length differs from vertex count")
         full = (1 << self.v) - 1
-        # The bitsets as a v x width byte matrix: byte u // 8 of every row
-        # is one strided slice, and bit u % 8 of those bytes, spelled in
-        # binary digits, is the column of u.
-        width = (self.v + 7) // 8
-        matrix = b"".join((mask & full).to_bytes(width, "little") for mask in adj)
+        columns = _columns(adj)
         for u, mask in enumerate(adj):
             if mask & ~full:
                 raise ValueError(f"adjacency of vertex {u} mentions vertices >= {self.v}")
             if mask >> u & 1:
                 raise ValueError(f"self-loop at vertex {u}")
-            column = int(matrix[u >> 3 :: width].translate(_BIT_DIGITS[u & 7])[::-1], 2)
-            odd = mask & ~column  # the w adjacent to u whose adjacency lacks u
+            odd = mask & ~columns[u]  # the w adjacent to u whose adjacency lacks u
             if odd:
                 w = (odd & -odd).bit_length() - 1
                 raise ValueError(f"asymmetric adjacency between {u} and {w}")
@@ -96,48 +104,49 @@ class Graph(Record):
                 if self.adj[u] >> w & 1:
                     yield (u, w)
 
+
 class FlipSpec(Record):
     """A symmetric set of class pairs to complement between.
 
-    Classes are 0..t-1; (i, j) in pairs always comes with (j, i).  The
-    diagonal entry (j, j) complements within class j.
+    Classes are 0..t-1.  ``rows[j]`` is the bitset of the classes that
+    class j is complemented with, so bit j' of rows[j] is bit j of
+    rows[j']; bit j of rows[j] complements within class j.
     """
 
     t: int
-    pairs: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
 
     def __post_init__(self):
-        pairs = frozenset((int(i), int(j)) for i, j in self.pairs)
-        for i, j in pairs:
-            if not (0 <= i < self.t and 0 <= j < self.t):
-                raise ValueError(f"pair ({i}, {j}) outside classes 0..{self.t - 1}")
-            if (j, i) not in pairs:
-                raise ValueError(f"pairs must be symmetric; ({j}, {i}) is missing")
-        object.__setattr__(self, "pairs", pairs)
+        rows = tuple(int(r) for r in self.rows)
+        if len(rows) != self.t or any(row >> self.t for row in rows):
+            raise ValueError(f"a spec needs {self.t} rows of pairs inside classes 0..{self.t - 1}")
+        for j, (row, column) in enumerate(zip(rows, _columns(rows))):
+            odd = row & ~column  # the w paired with j that lack j
+            if odd:
+                w = (odd & -odd).bit_length() - 1
+                raise ValueError(f"pairs must be symmetric; ({w}, {j}) is missing")
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_pairs(cls, t: int, pairs: Iterable[tuple[int, int]]) -> "FlipSpec":
         """Build a spec closing the given pairs under symmetry."""
-        closed = set()
+        rows = [0] * t
         for i, j in pairs:
-            closed.add((i, j))
-            closed.add((j, i))
-        return cls(t, frozenset(closed))
+            if not (0 <= i < t and 0 <= j < t):
+                raise ValueError(f"pair ({i}, {j}) outside classes 0..{t - 1}")
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return cls(t, tuple(rows))
 
     @classmethod
     def random(cls, t: int, rng: random.Random) -> "FlipSpec":
-        """Uniformly random symmetric spec: each unordered pair with
-        probability one half."""
-        pairs = set()
-        for i in range(t):
-            for j in range(i, t):
-                if rng.random() < 0.5:
-                    pairs.add((i, j))
-                    pairs.add((j, i))
-        return cls(t, frozenset(pairs))
+        """Uniformly random symmetric spec: each unordered pair (i, j),
+        i <= j, with probability one half, drawn in that order."""
+        return cls.from_pairs(t, ((i, j) for i in range(t) for j in range(i, t) if rng.random() < 0.5))
 
     def unordered(self) -> list[tuple[int, int]]:
-        return sorted({(min(i, j), max(i, j)) for i, j in self.pairs})
+        """The pairs (i, j) with i <= j, in increasing order."""
+        return [(i, j) for i, row in enumerate(self.rows) for j in range(i, self.t) if row >> j & 1]
 
 
 class ClassSpec(Record):
@@ -180,19 +189,15 @@ def flipped_paths(k: int, spec: FlipSpec | None = None) -> Graph:
     pair (j, j') complements all edges between class j and class j', and
     a diagonal pair (j, j) complements within the class.
 
-    Each row is built whole: position j has the bitset of the positions
-    it is flipped with, and the row of (i, j) is its path rungs XOR that
-    bitset repeated over the three paths, without (i, j) itself.
+    Each row is built whole: the row of (i, j) is its path rungs XOR
+    spec.rows[j], the positions j is flipped with, repeated over the
+    three paths, without (i, j) itself.
     """
     if k < 2:
         raise ValueError("paths need at least two vertices")
-    if spec is None:
-        spec = FlipSpec(k, frozenset())
-    if spec.t != k:
+    flip = (0,) * k if spec is None else spec.rows
+    if len(flip) != k:
         raise ValueError(f"spec has {spec.t} classes but paths have {k} positions")
-    flip = [0] * k  # flip[j]: the positions j is flipped with
-    for j, j2 in spec.pairs:
-        flip[j] |= 1 << j2
     spread = 1 | 1 << k | 1 << 2 * k  # one copy of a position mask per path
     adj = []
     for i in range(3):
@@ -207,23 +212,7 @@ def flipped_paths(k: int, spec: FlipSpec | None = None) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-class _Budget:
-    """Backtracking and enumeration nodes spent against one limit, which
-    bounds a whole count or semi-induced search in time and in memory.
-    ``what`` names the stage in the CapacityError."""
-
-    def __init__(self, limit: int, what: str):
-        self.limit = limit
-        self.what = what
-        self.spent = 0
-
-    def spend(self, nodes: int) -> None:
-        self.spent += nodes
-        if self.spent > self.limit:
-            raise CapacityError(f"{self.what}: node budget {self.limit} exceeded")
-
-
-def _embeddings(pat: list[int], host: list[int], budget: _Budget) -> list[list[int]]:
+def _embeddings(pat: list[int], host: list[int], budget: Budget) -> list[list[int]]:
     """Induced embeddings of the pattern into the host, pure-int bitsets.
 
     Returns the host images of pattern vertices 0..p-1, one list per
@@ -269,7 +258,7 @@ def _embeddings(pat: list[int], host: list[int], budget: _Budget) -> list[list[i
     return found
 
 
-def _count_generated(gens: list[list[int]], n: int, budget: _Budget) -> int:
+def _count_generated(gens: list[list[int]], n: int, budget: Budget) -> int:
     """Labelled graphs on [n] isomorphic to an induced subgraph of a
     generator: the union of the orbits, under relabelling, of the
     n-vertex induced subgraphs.
@@ -317,7 +306,7 @@ def _rooted(forbidden: list[list[int]]) -> list[tuple[list[int], int]]:
     return [(list(pat), near) for pat, near in out]
 
 
-def _count_forbidden(forbidden: list[list[int]], n: int, budget: _Budget) -> int:
+def _count_forbidden(forbidden: list[list[int]], n: int, budget: Budget) -> int:
     """Labelled graphs on [n] with no forbidden induced subgraph, by
     hereditary extension.
 
@@ -366,44 +355,29 @@ def _count_forbidden(forbidden: list[list[int]], n: int, budget: _Budget) -> int
     return extend([])
 
 
-def count_labelled(
-    spec: ClassSpec,
-    n: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    counters: dict | None = None,
-) -> int:
+def count_labelled(spec: ClassSpec, n: int, *, budget: Budget | None = None) -> int:
     """Exact number of labelled graphs on [n] that belong to the class.
 
     Generators mode collects the relabellings of the n-vertex induced
     subgraphs of the generators; forbidden mode extends the members on
-    [k] by one vertex at a time.  ``node_budget`` bounds the whole
-    count: every subset, relabelling, candidate neighbourhood and
-    embedding node spends one, and running out raises CapacityError.
-    With ``counters``, the nodes spent are added to ``counters["nodes"]``.
+    [k] by one vertex at a time.  ``budget`` (a fresh one of
+    DEFAULT_NODE_BUDGET nodes when None) bounds the whole count: every
+    subset, relabelling, candidate neighbourhood and embedding node
+    spends one, and running out raises CapacityError.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return 1
     graphs = [list(g.adj) for g in spec.graphs]
-    budget = _Budget(node_budget, f"labelled count at n = {n}")
-    try:
-        if spec.mode == MODE_GENERATORS:
-            return _count_generated(graphs, n, budget)
-        return _count_forbidden(graphs, n, budget)
-    finally:
-        if counters is not None:
-            counters["nodes"] += budget.spent
+    budget = budget or Budget(DEFAULT_NODE_BUDGET)
+    budget.stage = f"labelled count at n = {n}"
+    if spec.mode == MODE_GENERATORS:
+        return _count_generated(graphs, n, budget)
+    return _count_forbidden(graphs, n, budget)
 
 
-def semi_induced_order(
-    G: Graph,
-    *,
-    lax: bool = False,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    counters: dict | None = None,
-) -> int:
+def semi_induced_order(G: Graph, *, lax: bool = False, budget: Budget | None = None) -> int:
     """Largest t such that the half-graph on 2t vertices is semi-induced.
 
     Searches for vertices a_0..a_{t-1} and b_0..b_{t-1} with an edge
@@ -419,12 +393,12 @@ def semi_induced_order(
     vertices a_i..a_{t-1} (likewise b_i..b_{t-1}) all lie in the
     candidate set of a_i, since the constraints only grow, so a node
     whose candidate set is smaller fails at once.  Every node spends
-    one of ``node_budget`` over all t, and running out raises
-    CapacityError naming the t being searched.  With ``counters``, the
-    nodes spent are added to ``counters["nodes"]``.
+    one of ``budget`` (a fresh one of DEFAULT_NODE_BUDGET nodes when
+    None) over all t, and running out raises CapacityError naming the t
+    being searched.
     """
     full = (1 << G.v) - 1
-    budget = _Budget(node_budget, "semi-induced order")
+    budget = budget or Budget(DEFAULT_NODE_BUDGET)
 
     def exists(t: int) -> bool:
         a_img = [0] * t
@@ -464,18 +438,12 @@ def semi_induced_order(
                         return True
             return False
 
-        budget.what = f"semi-induced order t = {t}"
+        budget.stage = f"semi-induced order t = {t}"
         return rec(0, 0, 0)
 
     best = 0
-    t = 1
-    try:
-        while t <= G.v and exists(t):
-            best = t
-            t += 1
-    finally:
-        if counters is not None:
-            counters["nodes"] += budget.spent
+    while best < G.v and exists(best + 1):
+        best += 1
     return best
 
 

@@ -7,14 +7,15 @@ of k-tuple sequences x_1..x_m and y_1..y_m together with m^2 distinct
 points z_ij such that, restricted to Z = {z_ij}, the fiber over
 (x_i, y_j) is exactly {z_ij}.
 
-Searches are exact backtracking with a node budget and a counting
-look-ahead at every node; results are three-valued so an exhausted
-budget is reported as indeterminate rather than as absence.  One
-coding search serves every side width k (k = 1 for ternary
-relations): it holds sides as indices into the sorted distinct
+Searches are exact backtracking with a counting look-ahead at every
+node.  Each spends its nodes against a node Budget (errors.py) and
+catches the budget's CapacityError itself: results are three-valued, so
+an exhausted budget is reported as indeterminate rather than as
+absence.  One coding search serves every side width k (k = 1 for
+ternary relations): it holds sides as indices into the sorted distinct
 k-tuple projections, and fibers and private sets as bitsets over the
-universe.  The verifiers test raw tuple membership
-and share no machinery with the searchers.
+universe.  The verifiers test raw tuple membership and share no
+machinery with the searchers.
 """
 
 from __future__ import annotations
@@ -24,16 +25,12 @@ from itertools import chain
 from operator import or_
 from typing import Union
 
-from .errors import DEFAULT_NODE_BUDGET, ParseError, numbered_lines
+from .errors import DEFAULT_NODE_BUDGET, Budget, CapacityError, ParseError, numbered_lines
 from .record import Record
 
 STATUS_FOUND = "found"
 STATUS_NONE = "none"
 STATUS_INDETERMINATE = "indeterminate"
-
-
-class _BudgetHit(Exception):
-    pass
 
 
 class FinRelation(Record):
@@ -133,7 +130,8 @@ class SearchResult(Record):
     status is found, none, or indeterminate.  none means the search
     space was exhausted or ruled out by the counting bound;
     indeterminate means the node budget ran out first.  nodes is the
-    number of candidate placements tried.
+    number of candidate placements tried, the search's share of its
+    budget's ``spent``.
     """
 
     status: str
@@ -184,9 +182,7 @@ def verify_coding_witness(rel: FinRelation, w: CodingWitness) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def find_order_witness(
-    rel: FinRelation, n: int, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> SearchResult:
+def find_order_witness(rel: FinRelation, n: int, *, budget: Budget | None = None) -> SearchResult:
     """Backtracking search for an order witness of size n.
 
     Vertices interleave a_0, b_0, a_1, b_1, ... so every placement is
@@ -201,62 +197,57 @@ def find_order_witness(
     bound: the n - i distinct points a_i..a_{n-1} lie in the candidate
     set of a_i, and b_{i+1}..b_{n-1} lie in the intersection of
     row[a_j] over j <= i, so a node where either set is too small fails
-    at once.
+    at once.  Each placement tried spends one node of ``budget`` (a
+    fresh one of DEFAULT_NODE_BUDGET nodes when None); ``indeterminate``
+    means it ran out.
     """
     if rel.arity != 2:
         raise ValueError(f"order witnesses need a binary relation, got arity {rel.arity}")
     if n < 1:
         raise ValueError("witness size must be at least 1")
+    budget = budget or Budget(DEFAULT_NODE_BUDGET)
     row = [0] * rel.universe
     col = [0] * rel.universe
     for x, y in rel.tuples:
         row[x] |= 1 << y
         col[y] |= 1 << x
     full = (1 << rel.universe) - 1
-    a_img = [0] * n
-    b_img = [0] * n
-    nodes = 0
-
-    def rec(pos: int) -> bool:
-        nonlocal nodes
-        if pos == 2 * n:
-            return True
+    img = [0] * (2 * n)  # a_i at position 2i, b_i at 2i + 1
+    cand = [0] * (2 * n)  # the candidates still to try at each position
+    cand[0] = full if n <= rel.universe else 0
+    # allowed[i]: the points outside col[b_j] for every j < i, where a_i
+    # lies; common[i]: the points inside row[a_j] for every j < i
+    allowed = [full] * (n + 1)
+    common = [full] * (n + 1)
+    limit = budget.limit - budget.spent
+    nodes = pos = 0
+    while pos >= 0:
+        if not cand[pos]:
+            pos -= 1
+            continue
+        low = cand[pos] & -cand[pos]
+        cand[pos] ^= low
+        nodes += 1
+        if nodes > limit:
+            break  # the spend below raises
+        img[pos] = v = low.bit_length() - 1
         i = pos // 2
-        if pos % 2 == 0:
-            cand = full
-            for j in range(i):
-                cand &= full & ~col[b_img[j]]
-            if cand.bit_count() < n - i:
-                return False
-        else:
-            common = full
-            for j in range(i):
-                common &= row[a_img[j]]
-            if (common & row[a_img[i]]).bit_count() < n - i - 1:
-                return False
-            cand = common & ~row[a_img[i]]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            nodes += 1
-            if nodes > node_budget:
-                raise _BudgetHit
-            v = low.bit_length() - 1
-            if pos % 2 == 0:
-                a_img[i] = v
-            else:
-                b_img[i] = v
-            if rec(pos + 1):
-                return True
-        return False
-
+        pos += 1
+        if pos == 2 * n:
+            break
+        if pos % 2:  # a_i placed; b_i lies in common[i], outside row[a_i]
+            both = common[i + 1] = common[i] & row[v]
+            cand[pos] = common[i] & ~row[v] if both.bit_count() >= n - i - 1 else 0
+        else:  # b_i placed; a_{i+1} is next
+            a_next = allowed[i + 1] = allowed[i] & ~col[v]
+            cand[pos] = a_next if a_next.bit_count() >= n - i - 1 else 0
     try:
-        found = rec(0)
-    except _BudgetHit:
+        budget.spend(nodes)
+    except CapacityError:
         return SearchResult(STATUS_INDETERMINATE, None, nodes)
-    if not found:
+    if pos < 0:
         return SearchResult(STATUS_NONE, None, nodes)
-    w = OrderWitness(tuple(a_img), tuple(b_img))
+    w = OrderWitness(tuple(img[0::2]), tuple(img[1::2]))
     assert verify_order_witness(rel, w)
     return SearchResult(STATUS_FOUND, w, nodes)
 
@@ -267,7 +258,7 @@ def find_order_witness(
 
 
 def find_coding_witness(
-    rel: FinRelation, m: int, k: int = 1, *, node_budget: int = DEFAULT_NODE_BUDGET
+    rel: FinRelation, m: int, k: int = 1, *, budget: Budget | None = None
 ) -> SearchResult:
     """Backtracking search for a size-m coding witness whose sides are
     k-tuples, in a (2k+1)-ary relation (ternary for the default k = 1).
@@ -289,7 +280,10 @@ def find_coding_witness(
     fewer than m^2 - (cells placed) points of the union of all fibers
     are left uncovered.  With fewer than m^2 points in that union the
     search answers at 0 nodes.  Each side loop also stops where too few
-    pool entries remain for the rest of its increasing side.
+    pool entries remain for the rest of its increasing side.  Each
+    placement tried spends one node of ``budget`` (a fresh one of
+    DEFAULT_NODE_BUDGET nodes when None); ``indeterminate`` means it ran
+    out.
     """
     if k < 1:
         raise ValueError("side width must be at least 1")
@@ -310,69 +304,77 @@ def find_coding_witness(
     # fibers keyed by pairs of pool indices, and their union
     fiber = {(x_index[s[:k]], y_index[s[k:]]): mask for s, mask in by_sides.items()}
     zall = reduce(or_, fiber.values(), 0)
-    x_img = [0] * m
-    y_img = [0] * m
-    nodes = 0
-
-    def rec(pos: int, privates: dict[tuple[int, int], int], covered: int):
-        nonlocal nodes
-        if pos == 2 * m:
-            return privates
-        if (zall & ~covered).bit_count() < m * m - len(privates):
-            return None
-        on_x = pos % 2 == 0
-        idx = pos // 2
-        img = x_img if on_x else y_img
-        first = img[idx - 1] + 1 if idx > 0 else 0
-        last = len(xs_pool if on_x else ys_pool) - (m - 1 - idx)
-        for v in range(first, last):
-            nodes += 1
-            if nodes > node_budget:
-                raise _BudgetHit
-            img[idx] = v
-            if on_x:
-                cells = [(idx, j) for j in range(idx)]
-            else:
-                cells = [(i, idx) for i in range(idx + 1)]
-            nxt = dict(privates)
-            cov = covered
-            ok = True
-            for cell in cells:
-                fib = fiber.get((x_img[cell[0]], y_img[cell[1]]), 0)
-                priv = fib & ~cov
-                if not priv:
+    budget = budget or Budget(DEFAULT_NODE_BUDGET)
+    # x_h sits at position 2h and y_h at 2h + 1; cells[pos] lists the
+    # cells (i, j) that the point at pos completes, with the positions of
+    # x_i and y_j, and stop[pos] ends its side where too few pool entries
+    # remain for the rest of it
+    img = [0] * (2 * m)
+    cells = []
+    for pos in range(2 * m):
+        h = pos // 2
+        done = [(h, j) for j in range(h)] if pos % 2 == 0 else [(i, h) for i in range(h + 1)]
+        cells.append([((i, j), 2 * i, 2 * j + 1) for i, j in done])
+    stop = [len(xs_pool if pos % 2 == 0 else ys_pool) - (m - 1 - pos // 2) for pos in range(2 * m)]
+    # per position: the next pool index to try, its end, and the private
+    # sets and covered points on entry
+    nxt = [0] * (2 * m)
+    end = [stop[0] if zall.bit_count() >= m * m else 0] + [0] * (2 * m - 1)
+    state: list[tuple[dict[tuple[int, int], int], int]] = [({}, 0)] * (2 * m)
+    limit = budget.limit - budget.spent
+    nodes = pos = 0
+    while pos >= 0:
+        v = nxt[pos]
+        if v >= end[pos]:
+            pos -= 1
+            continue
+        nxt[pos] = v + 1
+        nodes += 1
+        if nodes > limit:
+            break  # the spend below raises
+        img[pos] = v
+        privates, covered = state[pos]
+        privates = dict(privates)
+        ok = True
+        for cell, xp, yp in cells[pos]:
+            fib = fiber.get((img[xp], img[yp]), 0)
+            priv = fib & ~covered
+            if not priv:
+                ok = False
+                break
+            for other, mask in privates.items():
+                mask &= ~fib
+                if not mask:
                     ok = False
                     break
-                for other, mask in nxt.items():
-                    mask &= ~fib
-                    if not mask:
-                        ok = False
-                        break
-                    nxt[other] = mask
-                if not ok:
-                    break
-                nxt[cell] = priv
-                cov |= fib
+                privates[other] = mask
             if not ok:
-                continue
-            res = rec(pos + 1, nxt, cov)
-            if res is not None:
-                return res
-        return None
-
+                break
+            privates[cell] = priv
+            covered |= fib
+        if not ok:
+            continue
+        pos += 1
+        if pos == 2 * m:
+            break
+        state[pos] = (privates, covered)
+        nxt[pos] = img[pos - 2] + 1 if pos >= 2 else 0
+        # the counting bound: too few points left uncovered ends the side
+        fits = (zall & ~covered).bit_count() >= m * m - len(privates)
+        end[pos] = stop[pos] if fits else 0
     try:
-        privates = rec(0, {}, 0)
-    except _BudgetHit:
+        budget.spend(nodes)
+    except CapacityError:
         return SearchResult(STATUS_INDETERMINATE, None, nodes)
-    if privates is None:
+    if pos < 0:
         return SearchResult(STATUS_NONE, None, nodes)
     table = [[0] * m for _ in range(m)]
     for (i, j), mask in privates.items():
         low = mask & -mask
         table[i][j] = low.bit_length() - 1
     w = CodingWitness(
-        tuple(xs_pool[i] for i in x_img),
-        tuple(ys_pool[j] for j in y_img),
+        tuple(xs_pool[i] for i in img[0::2]),
+        tuple(ys_pool[j] for j in img[1::2]),
         tuple(sorted(v for r in table for v in r)),
         tuple(tuple(r) for r in table),
     )

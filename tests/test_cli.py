@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from growthlab import bell, cli
+from growthlab import Budget, ParseError, bell, cli
 
 import oracles
 from conftest import DATA, cli_json, run_cli
@@ -668,6 +668,23 @@ def test_witness_k_with_order_exits_before_the_relation_is_read(tmp_path):
     assert proc.stdout == ""
     assert "--k only applies to coding, not order" in proc.stderr
     assert "absent.rel" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "absent.expr", "--trunc-m", "2"),
+        ("oeis", "--seq", "bell", "--use-s", "--bfile", "absent.txt"),
+        ("witness", "order", "absent.rel", "--size", "2", "--k", "2"),
+    ],
+    ids=["trunc-m", "use-s", "order-k"],
+)
+def test_flag_conflicts_are_parse_errors(argv):
+    # the CLI's own refusals are ParseErrors, so that a bare ValueError
+    # reaching main comes from the library
+    args = cli._read_command_line(list(argv))
+    with pytest.raises(ParseError):
+        cli._HANDLERS[args.command](args, [], {}, {}, Budget(0))
 
 
 @pytest.mark.parametrize(

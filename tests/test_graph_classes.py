@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import CapacityError, ClassSpec, FlipSpec, Graph, ParseError
+from growthlab import Budget, CapacityError, ClassSpec, FlipSpec, Graph, ParseError
 from growthlab import count_labelled, flip_recover, flipped_paths
 from growthlab import eval_lseq, half_graph, parse_class_spec, parse_expr, parse_graph
 from growthlab import semi_induced_order
+from growthlab.errors import DEFAULT_NODE_BUDGET
 from growthlab.graph_classes import MODE_FORBIDDEN, MODE_GENERATORS
 
 import oracles
@@ -215,12 +216,31 @@ def test_forbidden_class_counts_match_the_expression(forbidden, expr, complement
 
 
 def test_count_reports_nodes():
-    counters = {"nodes": 0}
-    assert count_labelled(ClassSpec(MODE_FORBIDDEN, (P3, K3)), 5, counters=counters) == 26
-    assert counters["nodes"] > 0
-    spent = counters["nodes"]
-    count_labelled(ClassSpec(MODE_GENERATORS, (P3, K3)), 3, counters=counters)
-    assert counters["nodes"] > spent
+    budget = Budget(DEFAULT_NODE_BUDGET)
+    assert count_labelled(ClassSpec(MODE_FORBIDDEN, (P3, K3)), 5, budget=budget) == 26
+    assert budget.spent > 0
+    spent = budget.spent
+    count_labelled(ClassSpec(MODE_GENERATORS, (P3, K3)), 3, budget=budget)
+    assert budget.spent > spent
+
+
+def test_one_budget_accumulates_over_counts():
+    # two counts on one budget spend what each spends on its own
+    forbidden, generated = ClassSpec(MODE_FORBIDDEN, (P3, K3)), ClassSpec(MODE_GENERATORS, (P3, K3))
+    alone = []
+    for spec, n in ((forbidden, 5), (generated, 3)):
+        budget = Budget(DEFAULT_NODE_BUDGET)
+        count_labelled(spec, n, budget=budget)
+        alone.append(budget.spent)
+    shared = Budget(sum(alone))
+    assert count_labelled(forbidden, 5, budget=shared) == 26
+    assert count_labelled(generated, 3, budget=shared) == 4
+    assert shared.spent == sum(alone)
+    # one node less and the second count runs out, under its own stage
+    shared = Budget(sum(alone) - 1)
+    count_labelled(forbidden, 5, budget=shared)
+    with pytest.raises(CapacityError, match=rf"^labelled count at n = 3: node budget {sum(alone) - 1} exceeded$"):
+        count_labelled(generated, 3, budget=shared)
 
 
 def test_count_rejects_large_n():
@@ -255,7 +275,7 @@ except CapacityError:
 def test_count_node_budget():
     spec = ClassSpec(MODE_GENERATORS, (half_graph(4),))
     with pytest.raises(CapacityError):
-        count_labelled(spec, 5, node_budget=3)
+        count_labelled(spec, 5, budget=Budget(3))
 
 
 def test_class_spec_validation():
@@ -312,7 +332,7 @@ def test_semi_induced_lax_at_least_strict(g):
 def test_semi_induced_node_budget():
     # t = 1 spends the two nodes a_0, b_0; t = 2 runs out at its first
     with pytest.raises(CapacityError, match=r"^semi-induced order t = 2: node budget 2 exceeded$"):
-        semi_induced_order(half_graph(5), node_budget=2)
+        semi_induced_order(half_graph(5), budget=Budget(2))
 
 
 @given(small_graphs(max_v=7), st.booleans())
@@ -325,9 +345,9 @@ def test_semi_induced_matches_brute(g, lax):
 def test_semi_induced_half_graph_11_node_ceiling():
     # without the counting bound the search spent 434,266 nodes here,
     # all of them proving that t = 12 fails
-    counters = {"nodes": 0}
-    assert semi_induced_order(half_graph(11), counters=counters) == 11
-    assert counters["nodes"] <= 300
+    budget = Budget(DEFAULT_NODE_BUDGET)
+    assert semi_induced_order(half_graph(11), budget=budget) == 11
+    assert budget.spent <= 300
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +373,34 @@ def test_flipped_paths_offdiagonal_flip():
 
 
 def test_flip_spec_symmetry_is_enforced():
-    with pytest.raises(ValueError):
-        FlipSpec(3, frozenset({(0, 1)}))
+    with pytest.raises(ValueError, match=r"^pairs must be symmetric; \(1, 0\) is missing$"):
+        FlipSpec(3, (0b010, 0, 0))
     spec = FlipSpec.from_pairs(3, [(0, 1)])
-    assert (1, 0) in spec.pairs and (0, 1) in spec.pairs
+    assert spec.rows == (0b010, 0b001, 0)
     assert list(spec.unordered()) == [(0, 1)]
+
+
+def test_flip_spec_range_is_enforced():
+    for rows in ((0b1000, 0, 0), (-1, 0, 0), (0, 0)):
+        with pytest.raises(ValueError, match=r"^a spec needs 3 rows of pairs inside classes 0\.\.2$"):
+            FlipSpec(3, rows)
+    with pytest.raises(ValueError, match=r"^pair \(0, 3\) outside classes 0\.\.2$"):
+        FlipSpec.from_pairs(3, [(0, 3)])
+
+
+def test_flip_spec_random_keeps_its_draws_and_matches_the_toggle_oracle():
+    # the spec holds one bitset row per position; its pairs are the ones
+    # a twin generator draws in the order (0, 0), (0, 1), ..., (k-1, k-1)
+    for k in (2, 3, 7, 12):
+        rng, twin = random.Random(k), random.Random(k)
+        spec = FlipSpec.random(k, rng)
+        drawn = [(i, j) for i in range(k) for j in range(i, k) if twin.random() < 0.5]
+        assert spec.unordered() == drawn
+        assert spec == FlipSpec.from_pairs(k, drawn)
+        assert all(spec.rows[i] >> j & 1 and spec.rows[j] >> i & 1 for i, j in drawn)
+        assert sum(row.bit_count() for row in spec.rows) == sum(2 - (i == j) for i, j in drawn)
+        assert rng.random() == twin.random()
+        assert list(flipped_paths(k, spec).adj) == oracles.flipped_paths_by_toggles(k, drawn)
 
 
 def test_flip_recover_exhaustive_k3():
@@ -382,7 +425,7 @@ def test_flip_layer_matches_the_pairwise_oracles_on_every_spec_at_k3():
     for mask in range(1 << len(pairs)):
         spec = FlipSpec.from_pairs(3, [p for i, p in enumerate(pairs) if mask >> i & 1])
         g = flipped_paths(3, spec)
-        assert list(g.adj) == oracles.flipped_paths_by_toggles(3, spec.pairs), spec
+        assert list(g.adj) == oracles.flipped_paths_by_toggles(3, spec.unordered()), spec
         assert list(flip_recover(g).adj) == oracles.flip_recover_by_pairs(g.adj, g.colors) == clean
 
 
@@ -392,7 +435,7 @@ def test_flip_layer_matches_the_pairwise_oracles_on_random_specs():
         for _ in range(12):
             spec = FlipSpec.random(k, rng)
             g = flipped_paths(k, spec)
-            assert list(g.adj) == oracles.flipped_paths_by_toggles(k, spec.pairs), spec
+            assert list(g.adj) == oracles.flipped_paths_by_toggles(k, spec.unordered()), spec
             assert list(flip_recover(g).adj) == oracles.flip_recover_by_pairs(g.adj, g.colors)
 
 

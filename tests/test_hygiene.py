@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses or defines a
 private name it never reads, the package exports exactly the public
 names its __init__ binds, the orbit counts sit below the expression
-layer, and no module imports dataclasses."""
+layer, no module imports dataclasses, and nodes are budgeted only
+through errors.Budget."""
 from __future__ import annotations
 
 import ast
@@ -101,3 +102,18 @@ def test_no_module_imports_dataclasses():
         if "dataclasses" in _imported_modules(ast.parse(path.read_text()))
     ]
     assert importing == []
+
+
+def test_nodes_are_budgeted_only_through_one_budget_object():
+    # a search takes a Budget and its caller reads budget.spent: a
+    # node_budget limit or a counters dict would be a second mechanism
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+                found += [
+                    f"{path.name}:{node.lineno} {p.arg}" for p in params if p.arg in ("node_budget", "counters")
+                ]
+    assert found == []

@@ -32,7 +32,7 @@ MAKERS = {
     "_Arg": lambda: _Arg("--max-n", "max_n", int, default=8),
     "_Leaf": lambda: _Leaf("help text", _Arg("--budget-nodes", "budget_nodes"), flags=(_Arg("--k", "k"),)),
     "Graph": lambda: Graph(3, (0b010, 0b101, 0b010), (0, 1, 2)),
-    "FlipSpec": lambda: FlipSpec(2, frozenset({(0, 1), (1, 0), (1, 1)})),
+    "FlipSpec": lambda: FlipSpec(2, (0b10, 0b11)),
     "ClassSpec": lambda: ClassSpec("forbidden", (Graph(2, (0b10, 0b01)),)),
     "Finite": lambda: Finite(FinPermGroup(2, ((1, 0),))),
     "DirectProduct": lambda: DirectProduct((Finite(FinPermGroup(1)), Finite(FinPermGroup(2, ((1, 0),))))),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import CodingWitness, FinRelation, OrderWitness, ParseError, SearchResult
+from growthlab import Budget, CodingWitness, FinRelation, OrderWitness, ParseError, SearchResult
 from growthlab import find_coding_witness, find_order_witness
 from growthlab import parse_relation, verify_coding_witness, verify_order_witness
 from growthlab.witness_search import STATUS_FOUND, STATUS_INDETERMINATE, STATUS_NONE
@@ -163,9 +163,29 @@ def test_empty_relation_order():
 
 
 def test_order_budget_exhaustion_is_indeterminate():
-    r = find_order_witness(less_rel(10), 5, node_budget=2)
+    budget = Budget(2)
+    r = find_order_witness(less_rel(10), 5, budget=budget)
     assert r.status == STATUS_INDETERMINATE
     assert r.witness is None
+    # the node that overshot is counted, in the result and in the budget
+    assert r.nodes == budget.spent == 3
+
+
+def test_searches_spend_one_budget_in_turn():
+    budget = Budget(10**6)
+    first = find_order_witness(less_rel(10), 5, budget=budget)
+    second = find_coding_witness(pairing_rel(3), 3, budget=budget)
+    assert first.status == second.status == STATUS_FOUND
+    assert first.nodes > 0 and second.nodes > 0
+    assert budget.spent == first.nodes + second.nodes
+    # a budget too small for the second search leaves it indeterminate,
+    # with the nodes it tried on top of the first search's
+    budget = Budget(first.nodes + 1)
+    assert find_order_witness(less_rel(10), 5, budget=budget).status == STATUS_FOUND
+    second = find_coding_witness(pairing_rel(3), 3, budget=budget)
+    assert second.status == STATUS_INDETERMINATE
+    assert second.nodes == 2
+    assert budget.spent == first.nodes + 2
 
 
 def test_order_rejects_bad_arity():
@@ -212,7 +232,7 @@ def test_empty_ternary_has_no_coding_witness():
 
 
 def test_coding_budget_exhaustion_is_indeterminate():
-    r = find_coding_witness(pairing_rel(3), 3, node_budget=1)
+    r = find_coding_witness(pairing_rel(3), 3, budget=Budget(1))
     assert r.status == STATUS_INDETERMINATE
 
 
