@@ -296,8 +296,8 @@ def _cmd_oeis(args, rows, tel, config, budget) -> int:
         expr = parse_expr(Path(args.expr_file).read_text())
         config["expr"] = format_expr(expr)
         config["use_s"] = args.use_s
-        # at least l_0, l_1, as eval_lseq needs, unless --max-n 0, which it refuses
-        seq = eval_lseq(expr, max(top, min(args.max_n, 1)), budget=args.budget_tuples)
+        # at least l_0, l_1, as eval_lseq needs; --max-n 0 compares index 0 only
+        seq = eval_lseq(expr, max(top, 1), budget=args.budget_tuples)
         if args.use_s:
             seq = stirling_transform(seq)
 

@@ -16,6 +16,16 @@ first kind) are built row by row from the one above with C-level
 term computes a binomial coefficient on its own.  The Stirling
 transform needs no triangle at all: it applies a difference operator
 to the sequence.  The module holds no state between calls.
+
+The pure set, whose growth sequence is constant 1 (EGF e^x), takes two
+routes of its own, chosen from the values alone.  Its wreath,
+exp(e^x - 1), is the Bell EGF, so ``exp_shift`` of it is ``bell``.  A
+product with it, e^x * A(x), is the binomial transform of the other
+factor, sum_k C(n, k) * a_k, so ``binomial_convolution`` applies the
+difference operator (D u)_k = u_k + u_{k+1}; it takes that route only
+when the other factor has full support, as over a finite factor the
+cut Pascal row costs less.  Both routes add big integers and multiply
+none.
 """
 
 from __future__ import annotations
@@ -45,12 +55,12 @@ class IntSeq(Record):
 
     def __post_init__(self):
         try:
-            vals = tuple(index(v) for v in self.values)
+            vals = tuple(map(index, self.values))
         except TypeError as exc:
             raise ValueError(f"IntSeq values must be integers: {exc}") from None
         if not vals:
             raise ValueError("IntSeq needs at least one value")
-        if any(v < 0 for v in vals):
+        if min(vals) < 0:
             raise ValueError("IntSeq values must be non-negative")
         object.__setattr__(self, "values", vals)
 
@@ -152,6 +162,30 @@ def _top(values) -> int:
     return max((k for k, v in enumerate(values) if v), default=0)
 
 
+def _all_ones(values) -> bool:
+    """Whether every value is 1: the pure set's growth sequence."""
+    return values.count(1) == len(values)
+
+
+def _binomial_transform(a) -> IntSeq:
+    """The sequence c with c_n = sum_k C(n, k) * a_k.
+
+    As in stirling_transform, c_n = (D^n a)_0, here with
+    (D u)_k = u_k + u_{k+1}: by C(n+1, k) = C(n, k) + C(n, k-1),
+
+        sum_k C(n, k) (D u)_k = sum_k u_k (C(n, k) + C(n, k-1))
+                              = sum_k C(n+1, k) u_k.
+
+    Each step shortens u by one entry and only adds.
+    """
+    u = list(a)
+    vals = [u[0]]
+    for _ in range(1, len(u)):
+        u = list(map(add, u, u[1:]))
+        vals.append(u[0])
+    return IntSeq(tuple(vals))
+
+
 def binomial_convolution(a: IntSeq, b: IntSeq) -> IntSeq:
     """The sequence c with c_n = sum_k C(n, k) * a_k * b_{n-k}.
 
@@ -161,10 +195,22 @@ def binomial_convolution(a: IntSeq, b: IntSeq) -> IntSeq:
     the factor whose last non-zero entry a_top comes first (a finite
     leaf ends at its degree).  The binomials come from one running
     Pascal row, C(n, k) for k <= min(n, top).
+
+    A factor that is constant 1, the pure set with EGF e^x, turns the
+    product into the binomial transform of the other factor,
+    c_n = sum_k C(n, k) * a_k (the EGF identity e^x * A(x) = C(x)).
+    When the other factor has full support, its last entry non-zero,
+    that transform is taken by additions alone (_binomial_transform).
+    Over a finite factor the Pascal row, cut at its degree, is cheaper
+    and is kept.
     """
     if len(a) != len(b):
         raise ValueError(f"prefix lengths differ: {len(a)} vs {len(b)}")
     av, bv = a.values, b.values
+    if _all_ones(bv):
+        av, bv = bv, av
+    if _all_ones(av) and bv[-1]:
+        return _binomial_transform(bv)
     top_a, top_b = _top(av), _top(bv)
     if top_b < top_a:
         av, bv = bv, av
@@ -190,9 +236,15 @@ def exp_shift(a: IntSeq) -> IntSeq:
     k-tuples.  Needs a_0 = 1.  With top the last k with a_k != 0, the
     binomials come from one running Pascal row C(n-1, j), j < min(n, top),
     so over a finite leaf each b_n costs time linear in the leaf's degree.
+
+    When every a_k is 1 (the pure set, EGF e^x), b has EGF
+    exp(e^x - 1), the Bell numbers, and comes from the Bell triangle,
+    which only adds.
     """
     if a[0] != 1:
         raise ValueError(f"exp_shift needs a_0 = 1, got {a[0]}")
+    if _all_ones(a.values):
+        return bell(a.last_index)
     top = _top(a)
     coef = a.values[1 : top + 1]
     row = [1]

@@ -349,6 +349,18 @@ def test_oeis_expression_sequence():
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "flags,bfile", [((), B110), (("--use-s",), B258)], ids=["l", "s"]
+)
+def test_oeis_expression_at_max_n_0_compares_index_0(flags, bfile, capsys):
+    # eval_lseq needs two terms; the command still compares only l_0 or s_0
+    argv = ["oeis", "--expr", E_REL, *flags, "--bfile", bfile, "--max-n", "0"]
+    assert cli.main(argv) == cli.EXIT_OK
+    env = json.loads(capsys.readouterr().out)
+    terms = rows_by_name(env, "term")
+    assert [(r["n"], r["value"], r["verdict"]) for r in terms] == [("0", "1", "match")]
+
+
 def test_oeis_mismatch_is_expected_negative():
     proc = run_cli("oeis", "--seq", "bell", "--bfile", B258, "--max-n", "10")
     assert proc.returncode == 1

@@ -33,6 +33,14 @@ def zero_tailed(draw, size: int) -> list[int]:
     return head + [0] * (size - support)
 
 
+@st.composite
+def full_support(draw, size: int) -> list[int]:
+    """A prefix of the given length with big entries whose last entry is
+    non-zero, like the sequence of an infinite structure."""
+    head = draw(st.lists(big_entries, min_size=size - 1, max_size=size - 1))
+    return head + [draw(st.integers(min_value=1, max_value=10**30))]
+
+
 def _ones(n_max: int) -> IntSeq:
     return IntSeq((1,) * (n_max + 1))
 
@@ -151,3 +159,44 @@ def test_exp_shift_twice_matches_every_b000258_entry():
 
 def test_exp_shift_of_ones_is_bell_to_400():
     assert list(exp_shift(_ones(400))) == [oracles.bell_by_triangle(n) for n in range(401)]
+
+
+# ---------------------------------------------------------------------------
+# The pure set, l constant 1 (EGF e^x): a product with it is the binomial
+# transform of the other factor, taken by additions when that factor has
+# full support, and its wreath is the Bell sequence
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=1, max_value=120).flatmap(lambda n: st.one_of(full_support(n), zero_tailed(n))),
+    st.booleans(),
+)
+def test_product_with_the_pure_set_matches_convolution_by_comb(other, pure_first):
+    ones = [1] * len(other)
+    a, b = (ones, other) if pure_first else (other, ones)
+    assert list(binomial_convolution(IntSeq(tuple(a)), IntSeq(tuple(b)))) == oracles.convolution_by_comb(a, b)
+
+
+@pytest.mark.parametrize("other", ["e_rel", "finite 3"])
+def test_product_with_the_pure_set_on_either_side(other):
+    # e_rel has full support and takes the additions; (finite 3) ends at
+    # index 3 and keeps the cut Pascal row
+    if other == "e_rel":
+        values = [oracles.bell_by_triangle(n) for n in range(121)]
+    else:
+        values = [1, 3, 6, 6] + [0] * 117
+    ones = [1] * 121
+    want = oracles.convolution_by_comb(values, ones)
+    assert list(binomial_convolution(IntSeq(tuple(values)), IntSeq(tuple(ones)))) == want
+    assert list(binomial_convolution(IntSeq(tuple(ones)), IntSeq(tuple(values)))) == want
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 120])
+def test_pure_set_squared_is_powers_of_two(n_max):
+    assert list(binomial_convolution(_ones(n_max), _ones(n_max))) == [2**n for n in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 150])
+def test_exp_shift_of_ones_matches_exp_shift_by_comb(n_max):
+    assert list(exp_shift(_ones(n_max))) == oracles.exp_shift_by_comb([1] * (n_max + 1))
