@@ -25,7 +25,8 @@ processes, 2 cores).
 Output is a JSON envelope {command, config, results, telemetry} on
 stdout, or the results as CSV.  Every number in the envelope is
 rendered as a decimal string so arbitrary-precision values survive any
-JSON reader.  With --deterministic the envelope is emitted with sorted
+JSON reader.  By default each envelope field and each result row takes
+one line.  With --deterministic the envelope is emitted with sorted
 keys and compact separators and wall time is omitted, making the bytes
 a pure function of the invocation.
 
@@ -97,7 +98,9 @@ _CLASS_LABELS = {
 
 def _stringify(value):
     """Render every number in a result structure as a decimal string."""
-    if isinstance(value, bool):
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, Fraction)):
         return str(value)
@@ -135,7 +138,10 @@ def _emit(envelope: dict, args) -> None:
     if args.deterministic:
         text = json.dumps(body, sort_keys=True, separators=(",", ":"))
     else:
-        text = json.dumps(body, indent=2)
+        # a line per field and result row, by the C encoder (no indent)
+        rows = "[\n" + ",\n".join(map(json.dumps, body["results"])) + "\n]"
+        fields = (f'"{k}": {rows if k == "results" else json.dumps(v)}' for k, v in body.items())
+        text = "{\n" + ",\n".join(fields) + "\n}"
     sys.stdout.write(text + "\n")
 
 

@@ -41,6 +41,8 @@ from .seq_core import (
     binomial_convolution,
     check_bounds,
     exp_shift,
+    is_one_point,
+    stirling_transform,
 )
 
 CLASS_FINITE = "finite"
@@ -340,28 +342,42 @@ def truncate_expr(expr: GroupExpr, m: int) -> FinPermGroup:
     raise TypeError(f"not a group expression: {expr!r}")
 
 
-def _expr_seq(expr: GroupExpr, n_max: int, budget: int) -> IntSeq:
+def _stirling_power(h: IntSeq, k: int) -> IntSeq:
+    for _ in range(k):
+        h = stirling_transform(h)
+    return h
+
+
+def _expr_seq(expr: GroupExpr, n_max: int, budget: int) -> tuple[IntSeq, int]:
     if isinstance(expr, Finite):
-        return IntSeq(count_orbits_injective(expr.group, n_max, budget=budget).counts)
+        return IntSeq(count_orbits_injective(expr.group, n_max, budget=budget).counts), 0
     if isinstance(expr, DirectProduct):
-        return reduce(binomial_convolution, (_expr_seq(f, n_max, budget) for f in expr.factors))
+        parts = [_expr_seq(f, n_max, budget) for f in expr.factors]
+        k = min(level for _, level in parts)
+        return reduce(binomial_convolution, (_stirling_power(h, j - k) for h, j in parts)), k
     if isinstance(expr, WreathSomega):
-        return exp_shift(_expr_seq(expr.base, n_max, budget))
+        h, k = _expr_seq(expr.base, n_max, budget)
+        return (h, k + 1) if is_one_point(h.values) else (exp_shift(h), k)
     raise TypeError(f"not a group expression: {expr!r}")
 
 
 def eval_lseq(expr: GroupExpr, n_max: int, *, budget: int = DEFAULT_TUPLE_BUDGET) -> IntSeq:
     """Injective-tuple growth sequence l_0..l_{n_max} of the expression.
 
-    Exact for the group the expression generates.  Every step is an
-    integer recurrence on prefixes of length n_max + 1: orbit counts at
-    the leaves, binomial_convolution at products and exp_shift at
-    wreath layers.  ``budget`` is the tuple budget of each leaf count
-    (count_orbits_injective); a leaf over it raises CapacityError.
+    Exact for the group the expression generates.  Each subexpression
+    is an integer prefix h with a level k, standing for l = St^k(h), St
+    the stirling_transform, which commutes with both steps below; the
+    root applies St k times.  A leaf is (orbit counts, 0).  A wreath
+    maps (p, k) to (p, k + 1) for the one point p = (1, 1, 0, ...), as
+    exp_shift(p) = St(p), and any other (h, k) to (exp_shift(h), k).  A
+    product lifts each factor by St to the least k among them and takes
+    the binomial_convolution there.  ``budget`` is the tuple budget of
+    each leaf count (count_orbits_injective); a leaf over it raises
+    CapacityError.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return _expr_seq(expr, n_max, budget)
+    return _stirling_power(*_expr_seq(expr, n_max, budget))
 
 
 def gap_verdict(

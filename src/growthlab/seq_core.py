@@ -15,11 +15,12 @@ first kind) are built row by row from the one above with C-level
 ``map`` and ``accumulate`` passes, and only the current row is kept; no
 term computes a binomial coefficient on its own.  The Stirling
 transform needs no triangle at all: it applies a difference operator
-to the sequence.  The module holds no state between calls.
+to the sequence.  The one state kept between calls is the longest Bell
+prefix built so far, which ``bell`` slices or extends.
 
 The pure set, whose growth sequence is constant 1 (EGF e^x), takes two
-routes of its own, chosen from the values alone.  Its wreath,
-exp(e^x - 1), is the Bell EGF, so ``exp_shift`` of it is ``bell``.  A
+routes of its own, chosen from the values alone.  Its Stirling
+transform, exp(e^x - 1), is the Bell EGF, so it goes to ``bell``.  A
 product with it, e^x * A(x), is the binomial transform of the other
 factor, sum_k C(n, k) * a_k, so ``binomial_convolution`` applies the
 difference operator (D u)_k = u_k + u_{k+1}; it takes that route only
@@ -107,21 +108,25 @@ class BoundReport(Record):
                 raise ValueError("failing index must lie in verified_range")
 
 
+#: the longest Bell prefix built so far, and the last row of its triangle
+_BELL = [1]
+_BELL_ROW = [1]
+
+
 def bell(n_max: int) -> IntSeq:
     """Bell numbers B_0..B_{n_max}: set partitions of [n] (A000110).
 
     From the Bell triangle: row n opens with the last entry of row n - 1,
     and each further entry adds the entry above it to its left
-    neighbour.  Row n opens with B_n.
+    neighbour.  Row n opens with B_n.  Each row is built once per
+    process; a shorter prefix is a slice of the longest one built.
     """
     if n_max < 0:
         raise ValueError("bell needs n_max >= 0")
-    row = [1]
-    vals = [1]
-    for _ in range(n_max):
-        row = list(accumulate(row, initial=row[-1]))
-        vals.append(row[0])
-    return IntSeq(tuple(vals))
+    while len(_BELL) <= n_max:
+        _BELL_ROW[:] = accumulate(_BELL_ROW, initial=_BELL_ROW[-1])
+        _BELL.append(_BELL_ROW[0])
+    return IntSeq(tuple(_BELL[: n_max + 1]))
 
 
 def bell2(n_max: int) -> IntSeq:
@@ -138,7 +143,9 @@ def stirling_transform(l: IntSeq) -> IntSeq:
 
     Applied to the injective-tuple growth sequence of a structure this
     yields its all-tuples growth sequence: every n-tuple factors through
-    the partition of positions by coordinate equality.
+    the partition of positions by coordinate equality.  On EGFs it is
+    H(x) -> H(e^x - 1), so it commutes with the binomial product and,
+    when h_0 = 1, with exp_shift: exp(H(e^x - 1) - 1) = (exp o (H - 1))(e^x - 1).
 
     No Stirling number is formed.  With (D u)_k = k * u_k + u_{k+1},
     s_n = (D^n l)_0, since by S(n+1, j) = j * S(n, j) + S(n, j-1)
@@ -147,9 +154,14 @@ def stirling_transform(l: IntSeq) -> IntSeq:
                               = sum_j S(n+1, j) u_j,
 
     and S(0, j) is 1 at j = 0 only.  Each step shortens u by one entry
-    and multiplies big integers only by the small index k.
+    and multiplies big integers only by the small index k.  The one
+    point (1, 1, 0, ...) goes to the constant 1, and that to ``bell``.
     """
     u = list(l.values)
+    if _all_ones(u):
+        return bell(len(u) - 1)
+    if is_one_point(u):
+        return IntSeq((1,) * len(u))
     vals = [u[0]]
     for _ in range(1, len(u)):
         u = list(map(add, map(mul, u, count()), u[1:]))
@@ -165,6 +177,11 @@ def _top(values) -> int:
 def _all_ones(values) -> bool:
     """Whether every value is 1: the pure set's growth sequence."""
     return values.count(1) == len(values)
+
+
+def is_one_point(values) -> bool:
+    """Whether the values are (1, 1, 0, ...), those of (finite 1)."""
+    return len(values) > 1 and values[0] == values[1] == 1 and values.count(0) == len(values) - 2
 
 
 def _binomial_transform(a) -> IntSeq:
@@ -237,14 +254,12 @@ def exp_shift(a: IntSeq) -> IntSeq:
     binomials come from one running Pascal row C(n-1, j), j < min(n, top),
     so over a finite leaf each b_n costs time linear in the leaf's degree.
 
-    When every a_k is 1 (the pure set, EGF e^x), b has EGF
-    exp(e^x - 1), the Bell numbers, and comes from the Bell triangle,
-    which only adds.
+    It commutes with the Stirling transform St (see there) and equals it
+    on the one point p = (1, 1, 0, ...), so eval_lseq never passes it the
+    pure set or a wreath tower over it: those are St^k(p).
     """
     if a[0] != 1:
         raise ValueError(f"exp_shift needs a_0 = 1, got {a[0]}")
-    if _all_ones(a.values):
-        return bell(a.last_index)
     top = _top(a)
     coef = a.values[1 : top + 1]
     row = [1]

@@ -13,7 +13,7 @@ test only if both are right).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, combinations, combinations_with_replacement, permutations, product, repeat
 from math import comb, factorial
 from typing import Iterator
@@ -156,6 +156,31 @@ def exp_shift_by_comb(a) -> list[int]:
     for n in range(1, len(a)):
         b.append(sum(comb(n - 1, k - 1) * a[k] * b[n - k] for k in range(1, n + 1)))
     return b
+
+
+def stirling_by_comb(a) -> list[int]:
+    """s_n = sum_k S(n, k) * a_k, each Stirling number of the second kind
+    from the explicit sum S(n, k) = sum_j (-1)^j C(k, j) (k - j)^n / k!."""
+
+    def s2(n: int, k: int) -> int:
+        return sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1)) // factorial(k)
+
+    return [sum(s2(n, k) * a[k] for k in range(n + 1)) for n in range(len(a))]
+
+
+def lseq_by_x_basis(tree, n_max: int) -> list[int]:
+    """l_0..l_{n_max} of an expression tree, every level in the plain
+    (x) basis.  A tree is ("finite", degree, gens), whose counts come
+    from brute_orbit_count, ("prod", factor, factor, ...), combined by
+    convolution_by_comb, or ("wr", base), by exp_shift_by_comb."""
+    head = tree[0]
+    if head == "finite":
+        _, degree, gens = tree
+        return [brute_orbit_count(gens, degree, n, True) if n <= degree else 0 for n in range(n_max + 1)]
+    if head == "prod":
+        return reduce(convolution_by_comb, (lseq_by_x_basis(f, n_max) for f in tree[1:]))
+    assert head == "wr", tree
+    return exp_shift_by_comb(lseq_by_x_basis(tree[1], n_max))
 
 
 def brute_exp_shift(a) -> list[Fraction]:

@@ -14,6 +14,7 @@ import pytest
 
 from growthlab import Budget, ParseError, bell, cli
 
+import golden
 import oracles
 from conftest import DATA, cli_json, run_cli
 
@@ -940,6 +941,31 @@ def test_deterministic_omits_wall_time():
     assert "wall_ms" not in env["telemetry"]
     _, env2 = cli_json("seq", E_REL, "--max-n", "4")
     assert "wall_ms" in env2["telemetry"]
+
+
+@pytest.mark.parametrize(
+    "label", ["seq-w3-200", "bounds-e_rel-350", "oeis-bell-400", "semiinduced-h11", "forbidden-p3-n6", "order-0"]
+)
+def test_default_output_parses_to_the_deterministic_envelope(label, tmp_path, capsys):
+    # one benchmark line (seed 0) per command; the default output puts
+    # one result row on each line, --deterministic sorts and compacts
+    workloads = golden._workloads()
+    ops = []
+    for workload in workloads.WORKLOADS:
+        (tmp_path / workload).mkdir()
+        ops += workloads.build(workload, 0, tmp_path / workload)
+    [op] = [op for op in ops if op.label == label]
+    envelopes = []
+    for extra in ([], ["--deterministic"]):
+        code = cli.main([*op.argv, *extra])
+        out = capsys.readouterr().out
+        env = json.loads(out)
+        env["telemetry"].pop("wall_ms", None)
+        env["config"].pop("deterministic")
+        envelopes.append((code, env))
+        if not extra:
+            assert out.count("\n") == len(env["results"]) + 7
+    assert envelopes[0] == envelopes[1]
 
 
 def test_envelope_structure():
