@@ -33,7 +33,6 @@ from .group_expr import (
 from .orbit_oracle import (
     FinPermGroup,
     OrbitCount,
-    count_orbits_all,
     count_orbits_injective,
 )
 from .seq_core import (
@@ -85,7 +84,6 @@ __all__ = [
     "check_bounds",
     "classify",
     "count_labelled",
-    "count_orbits_all",
     "count_orbits_injective",
     "eval_lseq",
     "exp_shift",

@@ -7,20 +7,24 @@ round trips) and witness (order and coding witness searches).
 
 One flag table, _LEAVES, is the grammar of the command line: for each
 leaf subcommand its positionals, its flags (spelling, dest, kind,
-choices, default, required), the output flags every leaf shares and the
-one budget it spends.  main reads a command line straight from the
-table.  A line the reader does not take as written (-h, any error, an
-abbreviated flag, --flag=value, a repeated flag, a value starting with
-'-') goes to the argparse parser build_parser makes from the same
-table, which prints the help or the usage error (exit 2), or parses the
-line.  argparse is imported only then, so a valid line loads none of
-argparse, gettext or locale.  csv is imported only for --format csv and
-traceback only for an internal error, and the flag table and every
-other record class are Records (record.py), not dataclasses.  So
-importing this module loads none of dataclasses, inspect, ast, dis,
-csv or traceback: 39 ms compiling from source and 5 ms with cached
-bytecode, against 66 and 25 ms with dataclasses (median of 15 fresh
-processes, 2 cores).
+choices, default, required, help), the output flags every leaf shares
+and the flag that sets its budget: --budget-tuples for seq, bounds and
+oeis, --budget-nodes for the others.  Both set the limit of the one
+errors.Budget that main hands to every stage of the command, in work
+units: search nodes, orbit-descent nodes and sifted Schreier elements,
+and the terms of each sequence step; telemetry.nodes is what it spent.
+main reads a command line straight from the table.  A line the reader
+does not take as written (-h, any error, an abbreviated flag,
+--flag=value, a repeated flag, a value starting with '-') goes to the
+argparse parser build_parser makes from the same table, which prints
+the help or the usage error (exit 2), or parses the line.  argparse is
+imported only then, so a valid line loads none of argparse, gettext or
+locale.  csv is imported only for --format csv and traceback only for
+an internal error, and the flag table and every other record class are
+Records (record.py), not dataclasses.  So importing this module loads
+none of dataclasses, inspect, ast, dis, csv or traceback: 39 ms
+compiling from source and 5 ms with cached bytecode, against 66 and
+25 ms with dataclasses (median of 15 fresh processes, 2 cores).
 
 Output is a JSON envelope {command, config, results, telemetry} on
 stdout, or the results as CSV.  Every number in the envelope is
@@ -31,9 +35,10 @@ keys and compact separators and wall time is omitted, making the bytes
 a pure function of the invocation.
 
 Exit codes: 0 success, 1 an expected negative (bound violated,
-mismatch, witness absent), 2 bad input, 3 a budget or size cap hit,
-4 a search ended indeterminate, 5 an internal error (a bug in
-growthlab, not in the input).
+mismatch, witness absent), 2 bad input (a ParseError, or a file that
+cannot be read or is not UTF-8), 3 a budget or size cap hit, 4 a
+search ended indeterminate, 5 an internal error: any other exception,
+a ValueError included, is a bug in growthlab, not in the input.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from .group_expr import (
     parse_expr,
     truncate_expr,
 )
-from .orbit_oracle import DEFAULT_TUPLE_BUDGET, count_orbits_injective
+from .orbit_oracle import count_orbits_injective
 from .record import Record
 from .seq_core import bell, bell2, meet_trivial_pairs, stirling_transform
 from .witness_search import (
@@ -154,8 +159,8 @@ def _common_config(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each appends rows and returns an exit code, and the
-# graphs and witness handlers spend the one node budget main hands them
+# subcommand handlers; each appends rows and returns an exit code, and
+# spends the one budget main hands it
 # ---------------------------------------------------------------------------
 
 
@@ -168,8 +173,8 @@ def _cmd_seq(args, rows, tel, config, budget) -> int:
     config["oracle_check"] = args.oracle_check
     if args.trunc_m is not None:
         config["trunc_m"] = args.trunc_m
-    lseq = eval_lseq(expr, args.max_n, budget=args.budget_tuples)
-    sseq = stirling_transform(lseq)
+    lseq = eval_lseq(expr, args.max_n, budget=budget)
+    sseq = stirling_transform(lseq, budget=budget)
     for n in range(args.max_n + 1):
         rows.append({"name": "l", "n": n, "value": lseq[n]})
     for n in range(args.max_n + 1):
@@ -183,8 +188,7 @@ def _cmd_seq(args, rows, tel, config, budget) -> int:
         for n in range(1, top + 1):
             for m in (n, n + 1) if args.trunc_m is None else (args.trunc_m, args.trunc_m + 1):
                 if m not in counted:
-                    oc = count_orbits_injective(truncate_expr(expr, m), min(m, top), budget=args.budget_tuples)
-                    tel["tuples_visited"] += oc.tuples_visited
+                    oc = count_orbits_injective(truncate_expr(expr, m), min(m, top), budget=budget)
                     tel["oracle_nodes"] += oc.nodes
                     tel["oracle_sifted"] += oc.sifted
                     counted[m] = oc.counts
@@ -240,9 +244,7 @@ def _cmd_bounds(args, rows, tel, config, budget) -> int:
         )
         return EXIT_OK
     rows.append({"name": "classification", "verdict": label})
-    reports = gap_verdict(
-        expr, args.max_n, cell_grid=cell_grid, c_grid=c_grid, budget=args.budget_tuples
-    )
+    reports = gap_verdict(expr, args.max_n, cell_grid=cell_grid, c_grid=c_grid, budget=budget)
     code = EXIT_OK
     for rep in reports:
         row = {
@@ -297,15 +299,15 @@ def _cmd_oeis(args, rows, tel, config, budget) -> int:
     if args.named_seq is not None:
         config["seq"] = args.named_seq
         named = {"bell": bell, "bell2": bell2, "meet-trivial-pairs": meet_trivial_pairs}
-        seq = named[args.named_seq](top)
+        seq = named[args.named_seq](top, budget=budget)
     else:
         expr = parse_expr(Path(args.expr_file).read_text())
         config["expr"] = format_expr(expr)
         config["use_s"] = args.use_s
         # at least l_0, l_1, as eval_lseq needs; --max-n 0 compares index 0 only
-        seq = eval_lseq(expr, max(top, 1), budget=args.budget_tuples)
+        seq = eval_lseq(expr, max(top, 1), budget=budget)
         if args.use_s:
-            seq = stirling_transform(seq)
+            seq = stirling_transform(seq, budget=budget)
 
     compared = 0
     code = EXIT_OK
@@ -471,6 +473,7 @@ class _Arg(Record):
     choices: tuple | None = None
     default: object = None
     required: bool = False
+    help: str | None = None
 
 
 class _Leaf(Record):
@@ -494,7 +497,10 @@ _OUTPUT_FLAGS = (
     _Arg("--seed", "seed", int, default=0),
     _Arg("--deterministic", "deterministic", bool, default=False),
 )
-_TUPLE_BUDGET = _Arg("--budget-tuples", "budget_tuples", _at_least(1, "budget"), default=DEFAULT_TUPLE_BUDGET)
+_TUPLE_BUDGET = _Arg(
+    "--budget-tuples", "budget_tuples", _at_least(1, "budget"), default=DEFAULT_NODE_BUDGET,
+    help="work units: orbit-descent nodes and sifted elements, and sequence terms formed",
+)
 _NODE_BUDGET = _Arg("--budget-nodes", "budget_nodes", _at_least(1, "budget"), default=DEFAULT_NODE_BUDGET)
 
 #: the CLI's grammar: each leaf subcommand by the words that name it
@@ -682,6 +688,7 @@ def build_parser():
                     choices=arg.choices,
                     default=arg.default,
                     required=arg.required,
+                    help=arg.help,
                 )
             else:
                 target.add_argument(arg.spelling, type=typed(arg.kind), choices=arg.choices)
@@ -710,16 +717,16 @@ def main(argv=None) -> int:
         command = f"graphs {args.graphs_command}"
     started = time.perf_counter()
     rows: list[dict] = []
-    tel: dict = {"tuples_visited": 0, "nodes": 0}
+    tel: dict = {"nodes": 0}
     config = _common_config(args)
-    # a command without --budget-nodes spends no nodes
-    budget = Budget(getattr(args, "budget_nodes", 0))
+    budget = Budget(args.budget_nodes if hasattr(args, "budget_nodes") else args.budget_tuples)
     try:
         code = _HANDLERS[args.command](args, rows, tel, config, budget)
     except CapacityError as exc:
         tel["capacity"] = str(exc)
         code = EXIT_CAPACITY
-    except (ParseError, OSError, ValueError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
+        # any other ValueError is a bug in growthlab, not bad input
         print(f"growthlab: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

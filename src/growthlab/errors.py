@@ -1,8 +1,9 @@
-"""Exceptions, the node budget and the line reader shared across
+"""Exceptions, the work budget and the line reader shared across
 growthlab modules."""
 
-#: nodes allowed to one search: a whole witness search, a whole labelled
-#: class count, or a whole semi-induced order search
+#: work units allowed to one computation that is handed no Budget: a
+#: witness search, a labelled class count, a semi-induced order search,
+#: an orbit count or a growth-sequence evaluation
 DEFAULT_NODE_BUDGET = 10**7
 
 
@@ -15,10 +16,12 @@ class CapacityError(RuntimeError):
 
 
 class Budget:
-    """Backtracking and enumeration nodes spent against one limit, in
-    time and in memory, by every search it is handed to in turn.
-    ``spent`` counts the overshooting nodes too; past the limit, spend
-    raises CapacityError naming the ``stage`` the search set."""
+    """Work units spent against one limit, in time and in memory, by
+    every computation it is handed to in turn.  A unit is a backtracking
+    or enumeration node, a stabilizer expanded or a Schreier element
+    sifted in an orbit count, or a term that a sequence step forms.
+    ``spent`` counts the overshooting units too; past the limit, spend
+    raises CapacityError naming the ``stage`` the computation set."""
 
     def __init__(self, limit: int):
         self.limit = limit
@@ -32,7 +35,10 @@ class Budget:
 
 
 class ParseError(ValueError):
-    """Malformed textual input (expression DSL, graph, relation or b-file).
+    """Bad input: malformed text (expression DSL, graph, relation or
+    b-file), or input that the computation asked for does not take (a
+    grid value of at most 0, no cell with d < 1 for a cellular bound, a
+    relation of the wrong arity for a witness).
 
     ``position`` is a character offset for one-line inputs and a line
     number for line-oriented files; it is already part of ``message``.

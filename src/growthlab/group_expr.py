@@ -18,6 +18,7 @@ trivial group.
 eval_lseq computes the injective-tuple growth sequence by structural
 recursion on integers: stabilizer descent at finite leaves, a binomial
 convolution at products, and the exponential formula at wreath layers.
+The leaf counts and the sequence steps spend one errors.Budget.
 classify sorts expressions into finite, cellular and msnc (infinite,
 every wreath layer over a finite domain, versus some wreath layer over
 an infinite one); the label is syntactic, which the command-line layer
@@ -28,11 +29,11 @@ that the truncation oracle counts orbits of.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from typing import Sequence, Union
 
-from .errors import CapacityError, ParseError
-from .orbit_oracle import DEFAULT_TUPLE_BUDGET, FinPermGroup, count_orbits_injective
+from .errors import DEFAULT_NODE_BUDGET, Budget, CapacityError, ParseError
+from .orbit_oracle import FinPermGroup, count_orbits_injective
 from .record import Record
 from .seq_core import (
     BoundReport,
@@ -342,26 +343,27 @@ def truncate_expr(expr: GroupExpr, m: int) -> FinPermGroup:
     raise TypeError(f"not a group expression: {expr!r}")
 
 
-def _stirling_power(h: IntSeq, k: int) -> IntSeq:
+def _stirling_power(h: IntSeq, k: int, budget: Budget) -> IntSeq:
     for _ in range(k):
-        h = stirling_transform(h)
+        h = stirling_transform(h, budget=budget)
     return h
 
 
-def _expr_seq(expr: GroupExpr, n_max: int, budget: int) -> tuple[IntSeq, int]:
+def _expr_seq(expr: GroupExpr, n_max: int, budget: Budget) -> tuple[IntSeq, int]:
     if isinstance(expr, Finite):
         return IntSeq(count_orbits_injective(expr.group, n_max, budget=budget).counts), 0
     if isinstance(expr, DirectProduct):
         parts = [_expr_seq(f, n_max, budget) for f in expr.factors]
         k = min(level for _, level in parts)
-        return reduce(binomial_convolution, (_stirling_power(h, j - k) for h, j in parts)), k
+        lifted = (_stirling_power(h, j - k, budget) for h, j in parts)
+        return reduce(partial(binomial_convolution, budget=budget), lifted), k
     if isinstance(expr, WreathSomega):
         h, k = _expr_seq(expr.base, n_max, budget)
-        return (h, k + 1) if is_one_point(h.values) else (exp_shift(h), k)
+        return (h, k + 1) if is_one_point(h.values) else (exp_shift(h, budget=budget), k)
     raise TypeError(f"not a group expression: {expr!r}")
 
 
-def eval_lseq(expr: GroupExpr, n_max: int, *, budget: int = DEFAULT_TUPLE_BUDGET) -> IntSeq:
+def eval_lseq(expr: GroupExpr, n_max: int, *, budget: Budget | None = None) -> IntSeq:
     """Injective-tuple growth sequence l_0..l_{n_max} of the expression.
 
     Exact for the group the expression generates.  Each subexpression
@@ -371,13 +373,16 @@ def eval_lseq(expr: GroupExpr, n_max: int, *, budget: int = DEFAULT_TUPLE_BUDGET
     maps (p, k) to (p, k + 1) for the one point p = (1, 1, 0, ...), as
     exp_shift(p) = St(p), and any other (h, k) to (exp_shift(h), k).  A
     product lifts each factor by St to the least k among them and takes
-    the binomial_convolution there.  ``budget`` is the tuple budget of
-    each leaf count (count_orbits_injective); a leaf over it raises
-    CapacityError.
+    the binomial_convolution there.  The leaf counts
+    (count_orbits_injective) and the sequence steps spend ``budget`` (a
+    fresh one of DEFAULT_NODE_BUDGET units when None), each step its
+    closed-form term count (seq_core) before it forms a term; past the
+    limit CapacityError names the stage.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return _stirling_power(*_expr_seq(expr, n_max, budget))
+    budget = budget or Budget(DEFAULT_NODE_BUDGET)
+    return _stirling_power(*_expr_seq(expr, n_max, budget), budget)
 
 
 def gap_verdict(
@@ -386,14 +391,14 @@ def gap_verdict(
     *,
     cell_grid: Sequence[tuple[Rational, Rational]] | None = None,
     c_grid: Sequence[Rational] | None = None,
-    budget: int = DEFAULT_TUPLE_BUDGET,
+    budget: Budget | None = None,
 ) -> list[BoundReport]:
     """Classification-driven growth-bound checks on the l-prefix.
 
     finite expressions get no checks (their growth is eventually zero);
     cellular ones get a cellular-bound pass over the (c, d) grid; msnc
     ones get the Bell lower bound plus one factorial-upper check per c.
-    ``budget`` is the tuple budget of the leaf counts, as in eval_lseq.
+    ``budget`` is spent by eval_lseq.
     """
     if n_max < 10:
         raise ValueError("gap_verdict needs n_max of at least 10")

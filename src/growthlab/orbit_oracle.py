@@ -1,22 +1,23 @@
 """Orbit counting for finite permutation groups, by stabilizer descent.
 
 Ground truth for the growth-sequence calculus: the orbits of a generated
-group G on injective n-tuples, or on all n-tuples, are counted from its
-generators alone.  The count shares no formula with the sequence
-calculus.  It rests on one fact about orbits (Cameron, Oligomorphic
-Permutation Groups, 1990): two tuples that start with the same point x
-lie in one orbit of G if and only if their tails lie in one orbit of
-the stabilizer G_x.  So the orbits of G on n-tuples are, over the orbits
-of G on points, one point x from each, the orbits of G_x on (n - 1)-tuples
-of the other points, or of all points for counts of all tuples.
+group G on injective n-tuples are counted from its generators alone.
+The count shares no formula with the sequence calculus.  It rests on one
+fact about orbits (Cameron, Oligomorphic Permutation Groups, 1990): two
+tuples that start with the same point x lie in one orbit of G if and
+only if their tails lie in one orbit of the stabilizer G_x.  So the
+orbits of G on n-tuples are, over the orbits of G on points, one point x
+from each, the orbits of G_x on (n - 1)-tuples of the other points.
+The orbits on all n-tuples follow by the Stirling transform
+(seq_core.stirling_transform), as an n-tuple factors through the
+partition of its positions by coordinate equality.
 
 Descent.  A node holds the pointwise stabilizer H of a tuple prefix, by
-generators, and the free points: those outside the prefix, or all points
-for counts of all tuples (H fixes the prefix, so its points are then
-fixed points of H).  The node finds the orbits of H on the free points.
-Each orbit O is one child, whose prefix takes the first point x of O.
-Along the generator edges of O (its Schreier tree) the node builds,
-for every y in O, an element u_y that maps x to y.  By Schreier's
+generators, and the free points: those outside the prefix.  The node
+finds the orbits of H on the free points.  Each orbit O is one child,
+whose prefix takes the first point x of O.  Along the generator edges
+of O (its Schreier tree) the node builds, for every y in O, an element
+u_y that maps x to y.  By Schreier's
 lemma the elements u_y s u_{s(y)}^-1 (applied left to right), over y in
 O and generators s of H, generate H_x.  Sims' filter (Sims, Computational
 methods in the study of permutation groups, 1970; Seress, Permutation
@@ -33,13 +34,13 @@ elements, all permutations of the d points.
 
 Three rules keep the work small.  At the last position a node only
 counts the orbits.  A trivial H closes with the falling factorials
-perm(f, j) of its f free points, or d^j for counts of all tuples.  And
-a node expands one orbit per class of interchangeable orbits.  Two
-orbits O and O' of H on the free points are interchangeable when a
-bijection phi: O -> O' has phi(s(p)) = s(phi(p)) for every generator s
-of H and every p in O.  The permutation pi that swaps O with O' along
-phi and fixes every other point then commutes with every generator, so
-with H, and maps the free points to themselves.  So H_phi(x) =
+perm(f, j) of its f free points.  And a node expands one orbit per
+class of interchangeable orbits.  Two orbits O and O' of H on the free
+points are interchangeable when a bijection phi: O -> O' has
+phi(s(p)) = s(phi(p)) for every generator s of H and every p in O.
+The permutation pi that swaps O with O' along phi and fixes every other
+point then commutes with every generator, so with H, and maps the free
+points to themselves.  So H_phi(x) =
 pi H_x pi^-1, and the children at x and at phi(x) count the same
 orbits: the node descends from the first orbit of a class only, and
 counts its child once per orbit of the class.  The points that H fixes
@@ -53,12 +54,14 @@ pays about |O| |S| steps per orbit O, with S its generators, as it did
 to find the orbit.  The work grows with the classes of orbits of the
 prefixes, not with the number of tuples or sets of points.
 
-Telemetry.  OrbitCount.nodes counts the stabilizers whose orbits were
-computed and OrbitCount.sifted the Schreier elements put through the
-filter.  The tuple budget caps perm(d, t), or d^t for all tuples, with
-t the depth of the descent: a count over budget raises CapacityError
-before it starts, never with a wrong count.  This caps the size of the
-tuple space, not the work of the descent.
+Telemetry and budget.  OrbitCount.nodes counts the stabilizers whose
+orbits were computed and OrbitCount.sifted the Schreier elements put
+through the filter.  Each of them spends one unit of the caller's
+errors.Budget, as it happens, so the budget bounds the work of the
+descent, not the size of the tuple space: a trivial group on many
+points closes at once, while S_40 to n = 40 sifts 170,973 elements.
+A count over budget raises CapacityError in the middle of the descent;
+it never returns a partial count.
 """
 
 from __future__ import annotations
@@ -66,10 +69,8 @@ from __future__ import annotations
 from math import perm
 from operator import itemgetter
 
-from .errors import CapacityError
+from .errors import DEFAULT_NODE_BUDGET, Budget
 from .record import Record
-
-DEFAULT_TUPLE_BUDGET = 10**7
 
 
 class FinPermGroup(Record):
@@ -110,16 +111,14 @@ class FinPermGroup(Record):
 class OrbitCount(Record):
     """Result of one orbit count, with telemetry.
 
-    ``counts`` holds the orbits on k-tuples for k = 0..n, ``count`` is
-    counts[n] and ``tuples_visited`` the n-tuples counted, perm(d, n)
-    or d^n (0 for n = 0).  ``nodes`` and ``sifted`` are the stabilizers
-    expanded and the Schreier elements sifted.  All are deterministic.
+    ``counts`` holds the orbits on injective k-tuples for k = 0..n and
+    ``count`` is counts[n].  ``nodes`` and ``sifted`` are the
+    stabilizers expanded and the Schreier elements sifted.  All are
+    deterministic.
     """
 
     n: int
-    injective: bool
     counts: tuple[int, ...]
-    tuples_visited: int
     nodes: int
     sifted: int
 
@@ -205,19 +204,20 @@ def _commutes(gens: list, orbit: list[int], t: int) -> bool:
 
 
 class _Descent:
-    """One count: its constants, its counters, and the descent itself."""
+    """One count: its constants, its counters, its budget, and the
+    descent itself."""
 
-    def __init__(self, degree: int, injective: bool):
-        self.degree = degree
-        self.injective = injective
+    def __init__(self, degree: int, budget: Budget):
         self.identity = tuple(range(degree))
+        self.budget = budget
         self.nodes = self.sifted = 0
 
     def descend(self, gens: list, free: list[int], r: int) -> list[int]:
         """Orbits of H, generated by gens, on the j-tuples that extend a
         prefix (module docstring), for j = 0..r."""
         if not gens:
-            return [perm(len(free), j) if self.injective else self.degree**j for j in range(r + 1)]
+            return [perm(len(free), j) for j in range(r + 1)]
+        self.budget.spend(1)
         self.nodes += 1
         seen = set()
         orbits = []
@@ -240,13 +240,10 @@ class _Descent:
             x = orbit[0]
             # H_x = H when H fixes x
             child = gens if len(orbit) == 1 else self.stabilizer(gens, x)
-            for j, c in enumerate(self.descend(child, self.after(free, x), r - 1), 1):
+            rest = [p for p in free if p != x]
+            for j, c in enumerate(self.descend(child, rest, r - 1), 1):
                 counts[j] += size * c
         return counts
-
-    def after(self, free: list[int], x: int) -> list[int]:
-        """The free points of a child whose prefix takes x."""
-        return [p for p in free if p != x] if self.injective else free
 
     def stabilizer(self, gens: list, x: int) -> list:
         """Generators of the stabilizer of x: the Schreier elements of its
@@ -261,6 +258,7 @@ class _Descent:
         find = kept.get
         inverse = {}
         sifted = 0
+        room = self.budget.limit - self.budget.spent
         for y in orbit:
             from_x = itemgetter(*u[y])
             for s in gens:
@@ -277,6 +275,8 @@ class _Descent:
                 # u_y, then s, then u_z^-1 fixes x (Schreier's lemma)
                 h = itemgetter(*w)(v[z])
                 sifted += 1
+                if sifted > room:
+                    self.budget.spend(sifted)  # raises
                 # Sims' filter: kept[i, j] has first moved point i and maps
                 # it to j.  When h does too, "h, then kept[i, j]^-1" fixes i
                 # and every point before it.
@@ -295,52 +295,30 @@ class _Descent:
                     h = itemgetter(*h)(undo)
                     if h == identity:
                         break
+        self.budget.spend(sifted)
         self.sifted += sifted
         return list(kept.values())
 
 
-def _count_orbits(group: FinPermGroup, n: int, injective: bool, budget: int) -> OrbitCount:
-    if n < 0:
-        raise ValueError("tuple length must be non-negative")
-    if n == 0:
-        return OrbitCount(0, injective, (1,), 0, 0, 0)
-    d = group.degree
-    # the tuples at the depth t the descent reaches; none are injective past d
-    t = min(n, d) if injective else n
-    size, space = (perm(d, t), f"perm({d}, {t})") if injective else (d**n, f"{d}^{n}")
-    if size > budget:
-        raise CapacityError(
-            f"tuple budget {budget} exceeded by {space} = {size} tuples"
-            f" (orbits on {'injective' if injective else 'all'} {n}-tuples of degree {d})"
-        )
-    descent = _Descent(d, injective)
-    # the generators that move a point, each once
-    gens = list(dict.fromkeys(g for g in group.generators if g != descent.identity))
-    counts = descent.descend(gens, list(range(d)), t) + [0] * (n - t)
-    tuples = perm(d, n) if injective else size
-    return OrbitCount(n, injective, tuple(counts), tuples, descent.nodes, descent.sifted)
-
-
-def count_orbits_injective(
-    group: FinPermGroup,
-    n: int,
-    *,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> OrbitCount:
+def count_orbits_injective(group: FinPermGroup, n: int, *, budget: Budget | None = None) -> OrbitCount:
     """Orbits of the generated group on injective k-tuples, k = 0..n.
 
     1 for n = 0 without search.  Above the degree d the search stops at
-    depth d, and the budget caps perm(d, d); the counts above d are 0.
+    depth d, and the counts above d are 0.  The descent spends one unit
+    of ``budget`` (a fresh one of DEFAULT_NODE_BUDGET units when None)
+    per node and per sifted Schreier element, and raises CapacityError
+    as soon as it is spent.
     """
-    return _count_orbits(group, n, True, budget)
-
-
-def count_orbits_all(
-    group: FinPermGroup,
-    n: int,
-    *,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> OrbitCount:
-    """Orbits of the generated group on all k-tuples, k = 0..n."""
-    return _count_orbits(group, n, False, budget)
-
+    if n < 0:
+        raise ValueError("tuple length must be non-negative")
+    if n == 0:
+        return OrbitCount(0, (1,), 0, 0)
+    d = group.degree
+    budget = budget or Budget(DEFAULT_NODE_BUDGET)
+    budget.stage = f"orbits on injective {n}-tuples of degree {d}"
+    descent = _Descent(d, budget)
+    # the generators that move a point, each once
+    gens = list(dict.fromkeys(g for g in group.generators if g != descent.identity))
+    t = min(n, d)  # no tuple is injective past d
+    counts = descent.descend(gens, list(range(d)), t) + [0] * (n - t)
+    return OrbitCount(n, tuple(counts), descent.nodes, descent.sifted)

@@ -27,6 +27,18 @@ difference operator (D u)_k = u_k + u_{k+1}; it takes that route only
 when the other factor has full support, as over a finite factor the
 cut Pascal row costs less.  Both routes add big integers and multiply
 none.
+
+Work.  The kernels that build a triangle of terms take an optional
+errors.Budget.  Before they form any term, they name their step as its
+stage and spend on it the number of terms that their closed form
+counts, so a prefix too long for the budget raises CapacityError at
+once.  Over L values that is L(L+1)/2 for a Stirling transform, a Bell
+triangle, a binomial transform or the Stirling triangle of
+meet_trivial_pairs, and L * min(L, top + 1) for binomial_convolution
+and exp_shift, with top the last non-zero index of the factor that
+ends first.  ``bell`` spends its triangle even when it slices the kept
+prefix, so what a call spends depends on its arguments alone.  Without
+a budget nothing is spent.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from itertools import accumulate, count, repeat
 from operator import add, index, mul, sub
 from typing import Iterator, Sequence, Union
 
+from .errors import Budget, ParseError
 from .record import Record
 
 Rational = Union[int, Fraction]
@@ -108,12 +121,21 @@ class BoundReport(Record):
                 raise ValueError("failing index must lie in verified_range")
 
 
+def _spend(budget: Budget | None, step: str, length: int, top: int | None = None) -> None:
+    """Spend on the budget, if there is one, the terms that a step over
+    prefixes of ``length`` values forms (module docstring): a triangle's
+    when top is None, else length * min(length, top + 1)."""
+    if budget is not None:
+        budget.stage = f"{step} to n = {length - 1}"
+        budget.spend(length * (length + 1) // 2 if top is None else length * min(length, top + 1))
+
+
 #: the longest Bell prefix built so far, and the last row of its triangle
 _BELL = [1]
 _BELL_ROW = [1]
 
 
-def bell(n_max: int) -> IntSeq:
+def bell(n_max: int, *, budget: Budget | None = None) -> IntSeq:
     """Bell numbers B_0..B_{n_max}: set partitions of [n] (A000110).
 
     From the Bell triangle: row n opens with the last entry of row n - 1,
@@ -123,22 +145,23 @@ def bell(n_max: int) -> IntSeq:
     """
     if n_max < 0:
         raise ValueError("bell needs n_max >= 0")
+    _spend(budget, "Bell triangle", n_max + 1)
     while len(_BELL) <= n_max:
         _BELL_ROW[:] = accumulate(_BELL_ROW, initial=_BELL_ROW[-1])
         _BELL.append(_BELL_ROW[0])
     return IntSeq(tuple(_BELL[: n_max + 1]))
 
 
-def bell2(n_max: int) -> IntSeq:
+def bell2(n_max: int, *, budget: Budget | None = None) -> IntSeq:
     """Second-order Bell numbers B^(2)_0..B^(2)_{n_max} (A000258).
 
     Counts ordered pairs (P, Q) of set partitions of [n] where P refines
     Q: the Stirling transform of the Bell numbers, sum_k S(n, k) * B_k.
     """
-    return stirling_transform(bell(n_max))
+    return stirling_transform(bell(n_max, budget=budget), budget=budget)
 
 
-def stirling_transform(l: IntSeq) -> IntSeq:
+def stirling_transform(l: IntSeq, *, budget: Budget | None = None) -> IntSeq:
     """The sequence s with s_n = sum_k S(n, k) * l_k.
 
     Applied to the injective-tuple growth sequence of a structure this
@@ -158,6 +181,7 @@ def stirling_transform(l: IntSeq) -> IntSeq:
     point (1, 1, 0, ...) goes to the constant 1, and that to ``bell``.
     """
     u = list(l.values)
+    _spend(budget, "Stirling transform", len(u))
     if _all_ones(u):
         return bell(len(u) - 1)
     if is_one_point(u):
@@ -203,7 +227,7 @@ def _binomial_transform(a) -> IntSeq:
     return IntSeq(tuple(vals))
 
 
-def binomial_convolution(a: IntSeq, b: IntSeq) -> IntSeq:
+def binomial_convolution(a: IntSeq, b: IntSeq, *, budget: Budget | None = None) -> IntSeq:
     """The sequence c with c_n = sum_k C(n, k) * a_k * b_{n-k}.
 
     The injective-tuple growth sequence of a direct product: an n-tuple
@@ -227,11 +251,13 @@ def binomial_convolution(a: IntSeq, b: IntSeq) -> IntSeq:
     if _all_ones(bv):
         av, bv = bv, av
     if _all_ones(av) and bv[-1]:
+        _spend(budget, "binomial transform", len(bv))
         return _binomial_transform(bv)
     top_a, top_b = _top(av), _top(bv)
     if top_b < top_a:
         av, bv = bv, av
     top = min(top_a, top_b)
+    _spend(budget, "binomial convolution", len(av), top)
     row = [1]
     vals = [av[0] * bv[0]]
     for n in range(1, len(av)):
@@ -243,7 +269,7 @@ def binomial_convolution(a: IntSeq, b: IntSeq) -> IntSeq:
     return IntSeq(tuple(vals))
 
 
-def exp_shift(a: IntSeq) -> IntSeq:
+def exp_shift(a: IntSeq, *, budget: Budget | None = None) -> IntSeq:
     """The exponential formula: b_0 = 1 and
     b_n = sum_{k=1}^{n} C(n-1, k-1) * a_k * b_{n-k}.
 
@@ -261,6 +287,7 @@ def exp_shift(a: IntSeq) -> IntSeq:
     if a[0] != 1:
         raise ValueError(f"exp_shift needs a_0 = 1, got {a[0]}")
     top = _top(a)
+    _spend(budget, "exponential formula", len(a), top)
     coef = a.values[1 : top + 1]
     row = [1]
     b = [1]
@@ -277,7 +304,7 @@ def exp_shift(a: IntSeq) -> IntSeq:
 def _as_fraction(x: Rational, name: str) -> Fraction:
     f = Fraction(x)
     if f <= 0:
-        raise ValueError(f"{name} must be positive, got {f}")
+        raise ParseError(f"{name} must be positive, got {f}")
     return f
 
 
@@ -290,7 +317,7 @@ def _check_cellular(seq: IntSeq, grid: Sequence[tuple[Rational, Rational]]) -> B
     )
     entries = [(c, d) for d, c in entries if d < 1]
     if not entries:
-        raise ValueError("cellular-bound grid needs at least one entry with d < 1")
+        raise ParseError("cellular-bound grid needs at least one entry with d < 1")
 
     best: tuple[int, Fraction, Fraction] | None = None
     for c, d in entries:
@@ -379,7 +406,7 @@ def check_bounds(
     raise ValueError(f"unknown bound kind {kind!r}")
 
 
-def meet_trivial_pairs(n_max: int) -> IntSeq:
+def meet_trivial_pairs(n_max: int, *, budget: Budget | None = None) -> IntSeq:
     """Pairs (P, Q) of set partitions of [n] with all-singletons meet,
     for n = 0..n_max (A059849).
 
@@ -395,7 +422,8 @@ def meet_trivial_pairs(n_max: int) -> IntSeq:
     """
     if n_max < 0:
         raise ValueError("meet_trivial_pairs needs n_max >= 0")
-    squares = [b * b for b in bell(n_max)]
+    squares = [b * b for b in bell(n_max, budget=budget)]
+    _spend(budget, "Stirling triangle", n_max + 1)
     row = [1]
     vals = [1]
     for n in range(1, n_max + 1):

@@ -202,7 +202,7 @@ def find_order_witness(rel: FinRelation, n: int, *, budget: Budget | None = None
     means it ran out.
     """
     if rel.arity != 2:
-        raise ValueError(f"order witnesses need a binary relation, got arity {rel.arity}")
+        raise ParseError(f"order witnesses need a binary relation, got arity {rel.arity}")
     if n < 1:
         raise ValueError("witness size must be at least 1")
     budget = budget or Budget(DEFAULT_NODE_BUDGET)
@@ -288,7 +288,7 @@ def find_coding_witness(
     if k < 1:
         raise ValueError("side width must be at least 1")
     if rel.arity != 2 * k + 1:
-        raise ValueError(f"width-{k} coding witnesses need arity {2 * k + 1}, got {rel.arity}")
+        raise ParseError(f"width-{k} coding witnesses need arity {2 * k + 1}, got {rel.arity}")
     if m < 1:
         raise ValueError("witness size must be at least 1")
     by_sides: dict[tuple[int, ...], int] = {}  # the fiber over each 2k-prefix

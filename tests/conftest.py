@@ -1,13 +1,4 @@
-"""Shared fixtures: data paths, the CLI runner, and a blocked module.
-
-``blocked_module`` makes the module its one parameter names, numpy,
-unimportable for the duration of a test.  Two tests request it,
-``test_all_tuple_orbits_match_brute`` and
-``test_tuples_visited_covers_the_state_space``: their counts run with
-NumPy unavailable, and their ids keep the ``[numpy-<group>]`` form they
-had when the parameter chose the NumPy kernel, so they stay comparable
-with earlier test records.
-"""
+"""Shared fixtures: data paths and the CLI runner."""
 from __future__ import annotations
 
 import json
@@ -23,12 +14,6 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA
-
-
-@pytest.fixture(params=["numpy"])
-def blocked_module(request, monkeypatch) -> str:
-    monkeypatch.setitem(sys.modules, request.param, None)
-    return request.param
 
 
 def run_cli(*args: str, timeout: float = 300.0) -> subprocess.CompletedProcess:

@@ -280,9 +280,9 @@ def _order_in_sym(gens, s: int) -> int:
     return len(elements)
 
 
-def orbit_count_by_sets(gens, degree: int, n: int, injective: bool) -> tuple[int, int]:
-    """Orbits on injective or all n-tuples, and the tuples they settle,
-    by a search over the sets (multisets for all tuples) of n points.
+def orbit_count_by_sets(gens, degree: int, n: int, injective: bool) -> int:
+    """Orbits on injective or all n-tuples, by a search over the sets
+    (multisets for all tuples) of n points.
 
     A set X with distinct points p_1..p_s of multiplicities mu_1..mu_s
     carries n! / prod mu_i! tuples; only the identity of K, the group
@@ -292,14 +292,12 @@ def orbit_count_by_sets(gens, degree: int, n: int, injective: bool) -> tuple[int
     remembers for each set the ordering of the seed's points it was
     first reached in.  A generator that maps a reached set onto a
     reached set in another ordering gives an element of K, and over the
-    whole orbit these generate K (Schreier's lemma).  The second value
-    is the number of tuples over all visited sets, perm(degree, n) or
-    degree^n.
+    whole orbit these generate K (Schreier's lemma).
     """
     pool = combinations if injective else combinations_with_replacement
     n_fact = factorial(n)
     frames: dict[tuple[int, ...], tuple[int, ...]] = {}
-    count = tuples = 0
+    count = 0
     for seed in pool(range(degree), n):
         if seed in frames:
             continue
@@ -309,7 +307,6 @@ def orbit_count_by_sets(gens, degree: int, n: int, injective: bool) -> tuple[int
         frames[seed] = points
         frontier = [points]
         schreier = []
-        size = 1
         while frontier:
             nxt = []
             for g in gens:
@@ -323,13 +320,11 @@ def orbit_count_by_sets(gens, degree: int, n: int, injective: bool) -> tuple[int
                     if old is None:
                         frames[state] = img
                         nxt.append(img)
-                        size += 1
                     elif old != img:
                         schreier.append(tuple([old.index(p) for p in img]))
             frontier = nxt
-        tuples += size * weight
         count += weight // _order_in_sym(schreier, len(points))
-    return count, tuples
+    return count
 
 
 def brute_stirling2(n: int, k: int) -> int:

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -98,7 +99,9 @@ def test_seq_bad_expression_is_input_error(tmp_path):
 
 
 def test_seq_capacity_exit(tmp_path):
-    proc = run_cli("seq", E_REL, "--max-n", "4", "--oracle-check", "--budget-tuples", "5")
+    # the evaluation and the Stirling transform spend 45 units, and the
+    # oracle count at level m = 2 overruns the budget
+    proc = run_cli("seq", E_REL, "--max-n", "4", "--oracle-check", "--budget-tuples", "50")
     assert proc.returncode == 3
     env = json.loads(proc.stdout)
     assert "capacity" in env["telemetry"]
@@ -107,24 +110,43 @@ def test_seq_capacity_exit(tmp_path):
 
 
 def test_seq_capacity_names_the_stage():
-    # level m = 2 of (wr (wr (finite 1))) acts on 4 points and is counted
-    # to depth 2; the budget is checked before the count starts
-    proc = run_cli("seq", E_REL, "--max-n", "4", "--oracle-check", "--budget-tuples", "5")
+    # level m = 5 of (wr (wr (finite 1))) acts on 25 points and is counted
+    # to depth 4; the budget runs out in the middle of that descent, at
+    # the first unit past the limit, and the rows of levels 1..4 stay
+    proc = run_cli("seq", E_REL, "--max-n", "4", "--oracle-check", "--budget-tuples", "1000", "--deterministic")
     assert proc.returncode == 3
-    capacity = json.loads(proc.stdout)["telemetry"]["capacity"]
-    assert capacity == "tuple budget 5 exceeded by perm(4, 2) = 12 tuples (orbits on injective 2-tuples of degree 4)"
+    env = json.loads(proc.stdout)
+    assert env["telemetry"]["capacity"] == "orbits on injective 4-tuples of degree 25: node budget 1000 exceeded"
+    assert env["telemetry"]["nodes"] == "1001"
+    oracle = rows_by_name(env, "oracle-l")
+    assert [(r["n"], r["oracle"]["trunc_m"]) for r in oracle] == [
+        (str(n), str(m)) for n in range(1, 5) for m in (n, n + 1)
+    ][:-1]
 
 
 def test_seq_oracle_check_keeps_its_rows_at_the_default_budget():
-    # level m = 6 acts on 36 points; its count to depth 5 is over the
-    # default budget, and the rows of levels 1..5 are still emitted
-    proc = run_cli("seq", E_REL, "--max-n", "6", "--oracle-check")
+    # level m = 6 acts on 36 points, perm(36, 5) = 45,239,040 injective
+    # 5-tuples, but its count takes 24 nodes and 5,714 sifted elements
+    code, env = cli_json("seq", E_REL, "--max-n", "6", "--oracle-check", "--deterministic")
+    assert code == 0
+    oracle = rows_by_name(env, "oracle-l")
+    assert [(r["n"], r["oracle"]["trunc_m"]) for r in oracle] == [
+        (str(n), str(m)) for n in range(1, 6) for m in (n, n + 1)
+    ]
+    assert all(r["verdict"] == "match" for r in oracle)
+    assert (env["telemetry"]["oracle_nodes"], env["telemetry"]["oracle_sifted"]) == ("63", "8837")
+
+
+def test_seq_prefix_over_the_budget_exits_at_once():
+    # (wr (wr (finite 1))) to n = 100000: the Stirling transforms would
+    # form 5 * 10^9 terms each, which is spent before any is formed
+    start = time.perf_counter()
+    proc = run_cli("seq", E_REL, "--max-n", "100000")
+    assert time.perf_counter() - start < 1.0
     assert proc.returncode == 3
     env = json.loads(proc.stdout)
-    assert "perm(36, 5) = 45239040" in env["telemetry"]["capacity"]
-    oracle = rows_by_name(env, "oracle-l")
-    assert len(oracle) == 9
-    assert all(r["verdict"] == "match" for r in oracle)
+    assert env["telemetry"]["capacity"] == "Stirling transform to n = 100000: node budget 10000000 exceeded"
+    assert env["results"] == []
 
 
 @pytest.mark.parametrize(
@@ -142,19 +164,22 @@ def test_budget_below_one_is_input_error(flag, value):
     assert f"argument {flag}: budget must be at least 1, got {value}" in proc.stderr
 
 
-@pytest.mark.parametrize("budget, code", [(None, 3), ("1000000000", 0)])
+@pytest.mark.parametrize("budget, code", [("400", 3), (None, 0)])
 def test_seq_leaf_counts_spend_the_tuple_budget(tmp_path, budget, code):
-    # the leaf of degree 11 counts perm(11, 11) = 39916800 tuples at n = 11
-    expr = tmp_path / "f11.expr"
-    expr.write_text("(finite 11)\n")
-    argv = ["seq", str(expr), "--max-n", "11"] + (["--budget-tuples", budget] if budget else [])
+    # the leaf S_11 has one orbit on perm(11, 11) = 39,916,800 tuples; its
+    # descent takes 10 nodes and 487 sifted elements
+    expr = tmp_path / "s11.expr"
+    expr.write_text("(finite 11 full-sym)\n")
+    argv = ["seq", str(expr), "--max-n", "11", "--deterministic"] + (["--budget-tuples", budget] if budget else [])
     proc = run_cli(*argv)
     assert proc.returncode == code
     env = json.loads(proc.stdout)
-    if budget is None:
-        assert env["telemetry"]["capacity"].startswith("tuple budget 10000000 exceeded by perm(11, 11)")
+    if budget:
+        assert env["telemetry"]["capacity"] == "orbits on injective 11-tuples of degree 11: node budget 400 exceeded"
     else:
-        assert rows_by_name(env, "l")[11]["value"] == "39916800"
+        assert rows_by_name(env, "l")[11]["value"] == "1"
+        # the descent, then the 78 terms of the Stirling transform
+        assert env["telemetry"]["nodes"] == str(10 + 487 + 78)
 
 
 def test_trunc_m_below_one_is_input_error_without_the_oracle_check():
@@ -208,7 +233,7 @@ def test_oracle_check_reports_bfs_levels_deterministically():
     # Schreier elements sifted
     assert int(tel["oracle_nodes"]) > 0
     assert int(tel["oracle_sifted"]) > 0
-    assert int(tel["tuples_visited"]) > 0
+    assert int(tel["nodes"]) > int(tel["oracle_nodes"]) + int(tel["oracle_sifted"])
 
 
 def test_oracle_check_on_wide_2628_pins_its_work(tmp_path):
@@ -279,19 +304,23 @@ def test_bounds_msnc_fails_at_20():
     assert fact and fact[0]["verdict"] == "fail"
 
 
-@pytest.mark.parametrize("budget, code", [(None, 3), ("1000000000", 1)])
+@pytest.mark.parametrize("budget, code", [("400", 3), (None, 0)])
 def test_bounds_leaf_counts_spend_the_tuple_budget(tmp_path, budget, code):
-    expr = tmp_path / "w11.expr"
-    expr.write_text("(wr (finite 11))\n")
-    argv = ["bounds", str(expr)] + (["--budget-tuples", budget] if budget else [])
+    # the leaf S_11 counted to n = 30 stops at depth 11: 10 nodes and 487
+    # sifted elements, then exp_shift forms 31 * 12 terms
+    expr = tmp_path / "ws11.expr"
+    expr.write_text("(wr (finite 11 full-sym))\n")
+    argv = ["bounds", str(expr), "--deterministic"] + (["--budget-tuples", budget] if budget else [])
     proc = run_cli(*argv)
     assert proc.returncode == code
     env = json.loads(proc.stdout)
     cell = rows_by_name(env, "cellular-bound")
-    if budget is None:
-        assert "perm(11, 11)" in env["telemetry"]["capacity"] and not cell
+    if budget:
+        assert env["telemetry"]["capacity"] == "orbits on injective 30-tuples of degree 11: node budget 400 exceeded"
+        assert not cell
     else:
-        assert [(r["verdict"], r["first_fail"]) for r in cell] == [("fail", "2")]
+        assert [(r["verdict"], r["c"], r["d"]) for r in cell] == [("pass", "1", "3/5")]
+        assert env["telemetry"]["nodes"] == str(10 + 487 + 31 * 12)
 
 
 def test_bounds_finite_has_no_bounds(tmp_path):
@@ -316,6 +345,23 @@ def test_bounds_bad_grid_is_input_error(tmp_path):
     f.write_text("(wr (finite 2 full-sym))\n")
     proc = run_cli("bounds", str(f), "--grid", "1:nonsense")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "text, grid, message",
+    [
+        ("(wr (wr (finite 1)))", "0", "c must be positive, got 0"),
+        ("(wr (finite 2 full-sym))", "1:-1/2", "d must be positive, got -1/2"),
+        ("(wr (finite 2 full-sym))", "1:1,2:3/2", "cellular-bound grid needs at least one entry with d < 1"),
+    ],
+    ids=["c-zero", "d-negative", "no-d-below-one"],
+)
+def test_bounds_grid_the_check_cannot_take_is_input_error(tmp_path, text, grid, message):
+    f = tmp_path / "e.expr"
+    f.write_text(text + "\n")
+    proc = run_cli("bounds", str(f), "--grid", grid)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert message in proc.stderr
 
 
 def test_bounds_bad_grid_exits_before_the_expression_is_read(tmp_path):
@@ -667,6 +713,20 @@ def test_witness_coding_with_pair_sides(tmp_path):
     assert rows_by_name(env, "verified")[0]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "kind, rel, message",
+    [
+        ("order", PAIR9, "order witnesses need a binary relation, got arity 3"),
+        ("coding", LESS10, "width-1 coding witnesses need arity 3, got 2"),
+    ],
+    ids=["order", "coding"],
+)
+def test_witness_on_a_relation_of_the_wrong_arity_is_input_error(kind, rel, message):
+    proc = run_cli("witness", kind, rel, "--size", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert message in proc.stderr
+
+
 def test_witness_k_rejected_outside_tuplecoding():
     proc = run_cli("witness", "order", LESS10, "--size", "2", "--k", "3")
     assert proc.returncode == 2
@@ -742,11 +802,11 @@ BUDGET_OF_SUBCOMMAND = {
 def test_each_subcommand_takes_only_the_budget_it_spends(tmp_path, command):
     make_argv, taken = BUDGET_OF_SUBCOMMAND[command]
     argv = make_argv(tmp_path)
-    code, env = cli_json(*argv, taken, "1000", "--deterministic")
+    code, env = cli_json(*argv, taken, "10000", "--deterministic")
     assert code == 0
     assert env["command"] == command
     budgets = {k: v for k, v in env["config"].items() if k.startswith("budget")}
-    assert budgets == {taken[2:].replace("-", "_"): "1000"}
+    assert budgets == {taken[2:].replace("-", "_"): "10000"}
     other = "--budget-nodes" if taken == "--budget-tuples" else "--budget-tuples"
     proc = run_cli(*argv, other, "1000")
     assert proc.returncode == 2
@@ -971,7 +1031,7 @@ def test_default_output_parses_to_the_deterministic_envelope(label, tmp_path, ca
 def test_envelope_structure():
     _, env = cli_json("seq", E_REL, "--max-n", "3")
     assert set(env) == {"command", "config", "results", "telemetry"}
-    assert set(env["telemetry"]) == {"tuples_visited", "nodes", "wall_ms"}
+    assert set(env["telemetry"]) == {"nodes", "wall_ms"}
 
 
 def test_internal_error_is_not_input_error(monkeypatch, capsys):
@@ -983,6 +1043,24 @@ def test_internal_error_is_not_input_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("growthlab: internal error: RuntimeError: injected fault")
     assert "Traceback" in err
+
+
+def test_value_error_from_the_library_is_internal_error(monkeypatch, capsys):
+    # only a ParseError, or a file that cannot be read, is bad input
+    def broken(*args, **kwargs):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(cli, "eval_lseq", broken)
+    assert cli.main(["seq", E_REL, "--max-n", "3"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("growthlab: internal error: ValueError: injected fault")
+
+
+def test_input_file_that_is_not_utf8_is_input_error(tmp_path):
+    f = tmp_path / "latin1.expr"
+    f.write_bytes("(wr (finite 1)) # \u00e9\n".encode("latin-1"))
+    proc = run_cli("seq", str(f))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "can't decode" in proc.stderr
 
 
 def test_unknown_command_is_input_error():

@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses or defines a
 private name it never reads, the package exports exactly the public
 names its __init__ binds, the orbit counts sit below the expression
-layer, no module imports dataclasses, and nodes are budgeted only
+layer, no module imports dataclasses, and work is budgeted only
 through errors.Budget."""
 from __future__ import annotations
 
@@ -106,7 +106,8 @@ def test_no_module_imports_dataclasses():
 
 def test_nodes_are_budgeted_only_through_one_budget_object():
     # a search takes a Budget and its caller reads budget.spent: a
-    # node_budget limit or a counters dict would be a second mechanism
+    # node_budget limit, a counters dict or a budget that defaults to an
+    # int would be a second mechanism
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -115,5 +116,14 @@ def test_nodes_are_budgeted_only_through_one_budget_object():
                 params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
                 found += [
                     f"{path.name}:{node.lineno} {p.arg}" for p in params if p.arg in ("node_budget", "counters")
+                ]
+                # defaults belong to the last positional parameters, and
+                # kw_defaults to each keyword-only one (None where it has none)
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults) :] + a.kwonlyargs
+                found += [
+                    f"{path.name}:{node.lineno} budget={ast.unparse(d)}"
+                    for p, d in zip(defaulted, a.defaults + a.kw_defaults)
+                    if p.arg == "budget" and d is not None and ast.unparse(d) != "None"
                 ]
     assert found == []

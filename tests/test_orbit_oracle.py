@@ -9,11 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from growthlab import CapacityError, FinPermGroup, Finite
-from growthlab import count_orbits_all, count_orbits_injective, parse_expr
+from growthlab import Budget, CapacityError, FinPermGroup, Finite, IntSeq
+from growthlab import count_orbits_injective, parse_expr, stirling_transform
 from growthlab import truncate_expr
 from growthlab.group_expr import MAX_TRUNC_DEGREE
-from growthlab.orbit_oracle import DEFAULT_TUPLE_BUDGET
 
 import oracles
 
@@ -35,6 +34,13 @@ ZOO = {
     # last are interchangeable (ab fixes the first, not the second)
     "c3xc3-cosets": FinPermGroup(9, ((1, 2, 0, 4, 5, 3, 7, 8, 6), (2, 0, 1, 4, 5, 3, 8, 6, 7))),
 }
+
+
+def all_tuple_counts(g: FinPermGroup, n: int) -> IntSeq:
+    """Orbits on all k-tuples, k = 0..n: the Stirling transform of the
+    injective counts, as an n-tuple factors through the partition of its
+    positions by coordinate equality."""
+    return stirling_transform(IntSeq(count_orbits_injective(g, n).counts))
 
 
 @st.composite
@@ -130,8 +136,9 @@ def test_trivial_group_counts_injections():
 
 
 def test_empty_tuple_has_one_orbit():
-    assert count_orbits_injective(FinPermGroup.symmetric(3), 0).count == 1
-    assert count_orbits_all(FinPermGroup.symmetric(3), 0).count == 1
+    g = FinPermGroup.symmetric(3)
+    assert count_orbits_injective(g, 0).count == 1
+    assert all_tuple_counts(g, 0)[0] == oracles.brute_orbit_count(g.generators, 3, 0, injective=False) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -148,24 +155,11 @@ def test_injective_orbits_match_brute(name):
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-@pytest.mark.usefixtures("blocked_module")
-def test_all_tuple_orbits_match_brute(name):
-    g = ZOO[name]
-    for n in range(6):
-        got = count_orbits_all(g, n).count
-        want = oracles.brute_orbit_count(g.generators, g.degree, n, injective=False)
-        assert got == want, (name, n)
-
-
-@pytest.mark.parametrize("name", sorted(ZOO))
 def test_stirling_identity_links_all_and_injective(name):
     g = ZOO[name]
-    for n in range(5):
-        all_n = count_orbits_all(g, n).count
-        assert all_n == sum(
-            oracles.brute_stirling2(n, k) * count_orbits_injective(g, k).count
-            for k in range(n + 1)
-        )
+    s = all_tuple_counts(g, 5)
+    for n in range(6):
+        assert s[n] == oracles.brute_orbit_count(g.generators, g.degree, n, injective=False), n
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +195,13 @@ SET_SEARCH_SHAPES = {
 
 @pytest.mark.parametrize("name", sorted(SET_SEARCH_SHAPES))
 def test_orbits_match_the_set_search(name):
-    # all tuples too where the multisets stay few
+    # all tuples too, by the Stirling transform, where the multisets stay few
     for g, n in SET_SEARCH_SHAPES[name]:
-        for injective in (True, False) if g.degree <= 16 else (True,):
-            count = count_orbits_injective if injective else count_orbits_all
-            r = count(g, n, budget=10**8)
-            want = oracles.orbit_count_by_sets(g.generators, g.degree, n, injective=injective)
-            assert (r.count, r.tuples_visited) == want, (g.degree, n, injective)
+        r = count_orbits_injective(g, n)
+        assert r.count == oracles.orbit_count_by_sets(g.generators, g.degree, n, injective=True), (g.degree, n)
+        if g.degree <= 16:
+            want = oracles.orbit_count_by_sets(g.generators, g.degree, n, injective=False)
+            assert stirling_transform(IntSeq(r.counts))[n] == want, (g.degree, n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -217,13 +211,10 @@ def test_orbits_match_the_set_search(name):
     st.booleans(),
 )
 def test_random_groups_match_the_set_search(g, n, injective):
-    count = count_orbits_injective if injective else count_orbits_all
-    r = count(g, n)
-    want = oracles.orbit_count_by_sets(g.generators, g.degree, n, injective=injective)
-    assert (r.count, r.tuples_visited) == want
+    counts = count_orbits_injective(g, n).counts if injective else all_tuple_counts(g, n)
     # one descent counts every shorter length too
     for k in range(n + 1):
-        assert r.counts[k] == oracles.orbit_count_by_sets(g.generators, g.degree, k, injective=injective)[0], k
+        assert counts[k] == oracles.orbit_count_by_sets(g.generators, g.degree, k, injective=injective), k
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +225,12 @@ def test_free_c3_has_more_orbits_than_a_batch():
     # (0 1 2)(3 4 5)(6 7 8) acts freely on injective tuples, so its
     # 9 * 8 * 7 * 6 = 3024 injective 4-tuples fall into 1008 orbits of 3;
     # the stabilizer of the first point is trivial, so every child of the
-    # root closes with a falling factorial.
+    # root closes with a falling factorial, and the root is the only node.
     g = FinPermGroup(9, ((1, 2, 0, 4, 5, 3, 7, 8, 6),))
     want = oracles.brute_orbit_count(g.generators, g.degree, 4, injective=True)
     r = count_orbits_injective(g, 4)
     assert want == 1008
-    assert (r.count, r.tuples_visited) == (want, 3024)
+    assert (r.count, r.nodes, r.sifted) == (want, 1, 0)
 
 
 def test_trivial_group_has_more_orbits_than_a_batch():
@@ -249,7 +240,7 @@ def test_trivial_group_has_more_orbits_than_a_batch():
     want = oracles.brute_orbit_count(g.generators, g.degree, 4, injective=True)
     r = count_orbits_injective(g, 4)
     assert want == 840
-    assert (r.count, r.tuples_visited, r.sifted) == (want, 840, 0)
+    assert (r.count, r.nodes, r.sifted) == (want, 0, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,14 +248,9 @@ def test_trivial_group_has_more_orbits_than_a_batch():
 def test_random_generators_match_brute(g, n, injective):
     # keep the brute-force oracle, |G| * d^n tuple images, small
     assume(len(oracles.group_closure(g.generators, g.degree)) * g.degree**n <= 100_000)
-    count = count_orbits_injective if injective else count_orbits_all
-    want = oracles.brute_orbit_count(g.generators, g.degree, n, injective=injective)
-    r = count(g, n)
-    assert r.count == want
+    counts = count_orbits_injective(g, n).counts if injective else all_tuple_counts(g, n)
     for k in range(n + 1):
-        assert r.counts[k] == oracles.brute_orbit_count(g.generators, g.degree, k, injective=injective), k
-    if n:
-        assert r.tuples_visited == (perm(g.degree, n) if injective else g.degree**n)
+        assert counts[k] == oracles.brute_orbit_count(g.generators, g.degree, k, injective=injective), k
 
 
 def test_many_small_orbits_share_their_levels():
@@ -283,9 +269,8 @@ def test_acceptance_01_expands_one_node_per_prefix_orbit():
     # into 1, 1, 2, 5 and 15 orbits, the Bell numbers.  No two orbits at
     # a node are interchangeable, so the classes do no extra descent.
     g = truncate_expr(parse_expr("(wr (wr (finite 1)))"), 6)
-    r = count_orbits_injective(g, 5, budget=10**8)
-    assert (r.count, r.tuples_visited) == (52, perm(36, 5))
-    assert (r.nodes, r.sifted) == (1 + 1 + 2 + 5 + 15, 5714)
+    r = count_orbits_injective(g, 5)
+    assert (r.count, r.nodes, r.sifted) == (52, 1 + 1 + 2 + 5 + 15, 5714)
 
 
 @pytest.mark.parametrize(
@@ -306,7 +291,7 @@ def test_acceptance_01_expands_one_node_per_prefix_orbit():
     ids=["wreath-12254", "transpositions-16"],
 )
 def test_descent_work_with_and_without_interchangeable_orbits(group, n, counts, nodes, sifted):
-    r = count_orbits_injective(group, n, budget=10**8)
+    r = count_orbits_injective(group, n)
     assert (r.counts, r.nodes, r.sifted) == (counts, nodes, sifted)
 
 
@@ -317,51 +302,37 @@ def test_copies_of_a_group_match_brute(g):
     # tuple images few
     size = len(oracles.group_closure(g.generators, g.degree))
     n = max(k for k in range(1, 5) if size * g.degree**k <= 50_000 or k == 1)
-    for injective in (True, False):
-        count = count_orbits_injective if injective else count_orbits_all
-        r = count(g, n)
+    for injective, counts in ((True, count_orbits_injective(g, n).counts), (False, all_tuple_counts(g, n))):
         for k in range(n + 1):
-            assert r.counts[k] == oracles.brute_orbit_count(g.generators, g.degree, k, injective=injective), (k, injective)
+            assert counts[k] == oracles.brute_orbit_count(g.generators, g.degree, k, injective=injective), (k, injective)
 
 
-def test_telemetry_counts_visited_tuples():
-    r = count_orbits_injective(FinPermGroup.symmetric(3), 2)
-    assert r.tuples_visited == 6  # all injective pairs from 3 points
-    assert r.n == 2 and r.injective
+def test_telemetry_counts_nodes_and_sifted_elements():
+    # S3 on pairs: the root, and the stabilizer S2 of point 0, which only
+    # counts its orbits; each node and each sifted element spends a unit
+    budget = Budget(100)
+    r = count_orbits_injective(FinPermGroup.symmetric(3), 2, budget=budget)
+    assert (r.n, r.counts, r.nodes) == (2, (1, 1, 1), 2)
+    assert budget.spent == r.nodes + r.sifted
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
-@pytest.mark.usefixtures("blocked_module")
-def test_tuples_visited_covers_the_state_space(name):
-    # Every tuple of the counted kind lies in exactly one orbit, so the
-    # descent settles each of them once: deg^n tuples in all, and the
-    # falling factorial deg (deg - 1) ... (deg - n + 1) of them injective.
+def test_nodes_are_at_most_the_prefix_orbits(name):
     # A node stands for at least one orbit of prefixes of fewer than n
     # points, so there are at most as many nodes as such orbits.
     g = ZOO[name]
     for n in range(1, 6):
-        prefixes = {
-            injective: sum(
-                oracles.brute_orbit_count(g.generators, g.degree, k, injective=injective)
-                for k in range(n)
-            )
-            for injective in (True, False)
-        }
-        falling = perm(g.degree, n)
-        injective = count_orbits_injective(g, n)
-        assert injective.tuples_visited == falling, n
-        assert injective.nodes <= prefixes[True], n
-        every = count_orbits_all(g, n)
-        assert every.tuples_visited == g.degree**n, n
-        assert every.nodes <= prefixes[False], n
+        prefixes = sum(oracles.brute_orbit_count(g.generators, g.degree, k, injective=True) for k in range(n))
+        assert count_orbits_injective(g, n).nodes <= prefixes, n
 
 
 def test_bell_truncation_count_and_telemetry():
     # (wr (wr (finite 1))) at m = 5 acts on 25 points; its orbits on
-    # injective 5-tuples are the B_5 = 52 set partitions of the positions.
+    # injective 5-tuples are the B_5 = 52 set partitions of the positions,
+    # and its nodes the orbits of prefixes of 0..4 points, B_0..B_4.
     g = truncate_expr(parse_expr("(wr (wr (finite 1)))"), 5)
-    r = count_orbits_injective(g, 5, budget=10**7)
-    assert (r.count, r.tuples_visited) == (52, 6_375_600)
+    r = count_orbits_injective(g, 5)
+    assert (r.count, r.nodes) == (52, 1 + 1 + 2 + 5 + 15)
 
 
 # ---------------------------------------------------------------------------
@@ -369,30 +340,33 @@ def test_bell_truncation_count_and_telemetry():
 
 
 def test_tuple_budget_exhaustion_raises():
+    # the descent of S_10 to depth 4 spends more than 20 units
     with pytest.raises(CapacityError):
-        count_orbits_injective(FinPermGroup.trivial(10), 4, budget=100)
+        count_orbits_injective(FinPermGroup.symmetric(10), 4, budget=Budget(20))
 
 
 def test_tuple_budget_exhaustion_inside_the_frontier_raises():
-    # S_6 has one orbit of 120 injective triples, more than the budget,
-    # so the count raises before its descent starts
+    # S_40 to n = 40 sifts 170,973 elements; the count raises at the first
+    # unit past the limit, in the middle of a stabilizer's sifting
+    budget = Budget(1000)
     with pytest.raises(CapacityError):
-        count_orbits_injective(FinPermGroup.symmetric(6), 3, budget=50)
+        count_orbits_injective(FinPermGroup.symmetric(40), 40, budget=budget)
+    assert budget.spent == 1001
 
 
 def test_tuple_budget_error_names_its_stage():
     with pytest.raises(CapacityError) as err:
-        count_orbits_all(FinPermGroup.symmetric(6), 3, budget=50)
-    assert str(err.value) == "tuple budget 50 exceeded by 6^3 = 216 tuples (orbits on all 3-tuples of degree 6)"
+        count_orbits_injective(FinPermGroup.symmetric(6), 3, budget=Budget(5))
+    assert str(err.value) == "orbits on injective 3-tuples of degree 6: node budget 5 exceeded"
 
 
 def test_small_budget_on_a_large_state_space_fails_fast():
-    # the trivial group on 100 points closes at the root with all
-    # perm(100, 4) tuples, far beyond the budget of 5
+    # S_100 has perm(100, 4) injective 4-tuples in one orbit; its root
+    # sifts more Schreier elements than the budget of 5 allows
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     start = time.perf_counter()
     with pytest.raises(CapacityError):
-        count_orbits_injective(FinPermGroup.trivial(100), 4, budget=5)
+        count_orbits_injective(FinPermGroup.symmetric(100), 4, budget=Budget(5))
     assert time.perf_counter() - start < 0.1
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 25 * 1024
 
@@ -401,15 +375,17 @@ def test_all_tuples_of_many_positions():
     # S2 swaps the two points of every tuple, so its 2^20 tuples of length
     # 20 pair up; the stabilizer of the first point is trivial, so the
     # root is the only node
-    r = count_orbits_all(FinPermGroup.symmetric(2), 20)
-    assert (r.count, r.tuples_visited, r.nodes, r.sifted) == (2**19, 2**20, 1, 0)
+    r = count_orbits_injective(FinPermGroup.symmetric(2), 20)
+    assert (stirling_transform(IntSeq(r.counts))[20], r.nodes, r.sifted) == (2**19, 1, 0)
 
 
-def test_state_space_cap():
-    big = FinPermGroup.trivial(1000)
-    assert perm(1000, 4) > DEFAULT_TUPLE_BUDGET
-    with pytest.raises(CapacityError):
-        count_orbits_injective(big, 4)
+def test_the_size_of_the_tuple_space_is_not_spent():
+    # the trivial group on 1000 points closes at the root: its
+    # perm(1000, 4) injective 4-tuples are each an orbit, and no node or
+    # Schreier element is spent
+    budget = Budget(1)
+    r = count_orbits_injective(FinPermGroup.trivial(1000), 4, budget=budget)
+    assert (r.count, r.nodes, budget.spent) == (perm(1000, 4), 0, 0)
 
 
 def test_rejects_negative_n():
@@ -486,10 +462,10 @@ def test_all_tuples_count_equals_bell_partition_bound():
     # For the full symmetric group, orbits on all n-tuples are set
     # partitions of the index positions, capped by the degree.
     g = FinPermGroup.symmetric(6)
+    s = all_tuple_counts(g, 4)
     for n in range(5):
-        assert count_orbits_all(g, n).count == sum(
-            oracles.brute_stirling2(n, k) for k in range(min(n, 6) + 1)
-        )
+        want = sum(oracles.brute_stirling2(n, k) for k in range(min(n, 6) + 1))
+        assert s[n] == want == oracles.brute_orbit_count(g.generators, 6, n, injective=False), n
 
 
 def test_direct_product_counts_multiply_via_convolution():

@@ -38,7 +38,7 @@ MAKERS = {
     "DirectProduct": lambda: DirectProduct((Finite(FinPermGroup(1)), Finite(FinPermGroup(2, ((1, 0),))))),
     "WreathSomega": lambda: WreathSomega(Finite(FinPermGroup(1))),
     "FinPermGroup": lambda: FinPermGroup(3, ((1, 2, 0),)),
-    "OrbitCount": lambda: OrbitCount(2, True, (1, 1, 1), 6, 2, 3),
+    "OrbitCount": lambda: OrbitCount(2, (1, 1, 1), 2, 3),
     "IntSeq": lambda: IntSeq((1, 1, 2, 5)),
     "BoundReport": lambda: BoundReport(KIND_FACTORIAL_UPPER, True, (0, 10), c=Fraction(3, 5), n0=4),
     "FinRelation": lambda: FinRelation(3, 2, frozenset({(0, 1), (1, 2)})),
@@ -139,4 +139,4 @@ def test_post_init_still_validates_and_normalises():
 
 def test_repr_is_the_dataclass_repr():
     assert repr(MAKERS["Finite"]()) == "Finite(group=FinPermGroup(degree=2, generators=((1, 0),)))"
-    assert repr(_Arg("--x", "x")) == "_Arg(spelling='--x', dest='x', kind=<class 'str'>, choices=None, default=None, required=False)"
+    assert repr(_Arg("--x", "x")) == "_Arg(spelling='--x', dest='x', kind=<class 'str'>, choices=None, default=None, required=False, help=None)"

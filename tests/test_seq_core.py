@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from growthlab import IntSeq, bell, bell2, check_bounds, meet_trivial_pairs, stirling_transform
+from growthlab import Budget, CapacityError, IntSeq, bell, bell2, binomial_convolution, check_bounds
+from growthlab import exp_shift, meet_trivial_pairs, stirling_transform
 from growthlab.seq_core import KIND_BELL_LOWER, KIND_CELLULAR, KIND_FACTORIAL_UPPER
 
 import oracles
@@ -277,3 +278,41 @@ def test_binomial_convolution_of_bell():
     b = bell(12)
     for n in range(12):
         assert b[n + 1] == sum(comb(n, k) * b[k] for k in range(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# work spent on a Budget
+
+FULL = IntSeq((1, 2, 5, 15, 52))  # full support, five terms
+LEAF = IntSeq((1, 3, 6, 6, 0))  # a leaf of degree 3: top = 3
+ONES = IntSeq((1,) * 5)
+
+
+@pytest.mark.parametrize(
+    "step, spent",
+    [
+        (lambda b: stirling_transform(FULL, budget=b), 15),
+        (lambda b: stirling_transform(ONES, budget=b), 15),
+        (lambda b: bell(4, budget=b), 15),
+        (lambda b: bell2(4, budget=b), 15 + 15),
+        (lambda b: binomial_convolution(ONES, FULL, budget=b), 15),
+        (lambda b: binomial_convolution(FULL, LEAF, budget=b), 5 * 4),
+        (lambda b: exp_shift(LEAF, budget=b), 5 * 4),
+        (lambda b: meet_trivial_pairs(4, budget=b), 15 + 15),
+    ],
+    ids=["stirling", "stirling-pure-set", "bell", "bell2", "binomial-transform", "convolution", "exp-shift", "meet-trivial"],
+)
+def test_each_step_spends_its_closed_form_term_count(step, spent):
+    # L(L+1)/2 for a triangle over L = 5 terms, L * min(L, top + 1) with a
+    # leaf; the same again once the Bell prefix is kept
+    for _ in range(2):
+        budget = Budget(100)
+        step(budget)
+        assert budget.spent == spent
+
+
+def test_a_step_over_budget_names_its_stage():
+    budget = Budget(10**6)
+    with pytest.raises(CapacityError, match=r"^Stirling transform to n = 9999: node budget 1000000 exceeded$"):
+        stirling_transform(IntSeq((1, 2) * 5000), budget=budget)
+    assert budget.spent == 10_000 * 10_001 // 2

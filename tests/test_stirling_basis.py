@@ -103,9 +103,9 @@ def test_w3_matches_every_b000258_entry():
 def test_wreath_towers_over_the_pure_set_pass_exp_shift_no_full_support_input(monkeypatch):
     seen = []
 
-    def recording(a):
+    def recording(a, **kwargs):
         seen.append(a)
-        return exp_shift(a)
+        return exp_shift(a, **kwargs)
 
     monkeypatch.setattr(group_expr, "exp_shift", recording)
     towers = [OMEGA]
