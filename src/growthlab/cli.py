@@ -11,7 +11,7 @@ choices, default, required, help), the output flags every leaf shares
 and the flag that sets its budget: --budget-tuples for seq, bounds and
 oeis, --budget-nodes for the others.  Both set the limit of the one
 errors.Budget that main hands to every stage of the command, in work
-units: search nodes, orbit-descent nodes and sifted Schreier elements,
+units: search nodes, the points and point images of the orbit descent,
 and the terms of each sequence step; telemetry.nodes is what it spent.
 main reads a command line straight from the table.  A line the reader
 does not take as written (-h, any error, an abbreviated flag,
@@ -499,7 +499,7 @@ _OUTPUT_FLAGS = (
 )
 _TUPLE_BUDGET = _Arg(
     "--budget-tuples", "budget_tuples", _at_least(1, "budget"), default=DEFAULT_NODE_BUDGET,
-    help="work units: orbit-descent nodes and sifted elements, and sequence terms formed",
+    help="work units: points and point images of the orbit descent, and sequence terms formed",
 )
 _NODE_BUDGET = _Arg("--budget-nodes", "budget_nodes", _at_least(1, "budget"), default=DEFAULT_NODE_BUDGET)
 

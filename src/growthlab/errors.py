@@ -18,8 +18,8 @@ class CapacityError(RuntimeError):
 class Budget:
     """Work units spent against one limit, in time and in memory, by
     every computation it is handed to in turn.  A unit is a backtracking
-    or enumeration node, a stabilizer expanded or a Schreier element
-    sifted in an orbit count, or a term that a sequence step forms.
+    or enumeration node, a point listed or a point image read or written
+    by an orbit count, or a term that a sequence step forms.
     ``spent`` counts the overshooting units too; past the limit, spend
     raises CapacityError naming the ``stage`` the computation set."""
 

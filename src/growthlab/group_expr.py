@@ -150,11 +150,15 @@ class _Scanner:
 
     def integer(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's limit on int digits
+            self.pos = start
+            self.error("integer too long")
 
 
 def _parse_cycles(sc: _Scanner, degree: int) -> tuple[int, ...]:

@@ -56,12 +56,19 @@ prefixes, not with the number of tuples or sets of points.
 
 Telemetry and budget.  OrbitCount.nodes counts the stabilizers whose
 orbits were computed and OrbitCount.sifted the Schreier elements put
-through the filter.  Each of them spends one unit of the caller's
-errors.Budget, as it happens, so the budget bounds the work of the
-descent, not the size of the tuple space: a trivial group on many
-points closes at once, while S_40 to n = 40 sifts 170,973 elements.
-A count over budget raises CapacityError in the middle of the descent;
-it never returns a partial count.
+through the filter.  The descent spends the caller's errors.Budget as
+it works, one unit per point it lists and per point image it reads or
+writes.  The root spends d for its free points, a node |free| |S| for
+the scan that finds its orbits, and a stabilizer d for each permutation
+of the d points that it forms: its transversal, d (|S| + 1) per orbit
+point other than x, before it forms any product or inverse, then each
+Schreier element, quotient in the filter and inverse of a kept element
+as it forms it.  So the budget bounds the work and the memory of the
+descent, not the size of the tuple space: the trivial group on d points
+spends d, and S_d spends 3 d (d - 1) on its first transversal, which
+refuses S_20000 before it is built.  A count over budget raises
+CapacityError in the middle of the descent; it never returns a partial
+count.
 """
 
 from __future__ import annotations
@@ -217,7 +224,7 @@ class _Descent:
         prefix (module docstring), for j = 0..r."""
         if not gens:
             return [perm(len(free), j) for j in range(r + 1)]
-        self.budget.spend(1)
+        self.budget.spend(len(free) * len(gens))
         self.nodes += 1
         seen = set()
         orbits = []
@@ -239,49 +246,59 @@ class _Descent:
         for orbit, size in _classes(gens, orbits):
             x = orbit[0]
             # H_x = H when H fixes x
-            child = gens if len(orbit) == 1 else self.stabilizer(gens, x)
+            child = gens if len(orbit) == 1 else self.stabilizer(gens, orbit)
             rest = [p for p in free if p != x]
             for j, c in enumerate(self.descend(child, rest, r - 1), 1):
                 counts[j] += size * c
         return counts
 
-    def stabilizer(self, gens: list, x: int) -> list:
-        """Generators of the stabilizer of x: the Schreier elements of its
-        orbit under gens, through Sims' filter."""
+    def stabilizer(self, gens: list, orbit: list[int]) -> list:
+        """Generators of the stabilizer of x = orbit[0]: the Schreier
+        elements of its orbit under gens, through Sims' filter.  The
+        orbit lists its points in the order the generators reach them
+        from x, as descend finds it."""
         identity = self.identity
+        d = len(identity)
+        # the transversal forms, per orbit point other than x, one product
+        # per generator and one inverse: spent before any is formed
+        self.budget.spend(d * (len(orbit) - 1) * (len(gens) + 1))
+        # each sifted element and each quotient spends d more
+        room = (self.budget.limit - self.budget.spent) // d
         # A permutation is the tuple of its images, and itemgetter(*g)(h)
         # is the product "g, then h".  u[y] maps x to y, v[y] = u[y]^-1.
+        x = orbit[0]
         u = {x: identity}
         v = {x: identity}
-        orbit = [x]
         kept = {}
         find = kept.get
         inverse = {}
-        sifted = 0
-        room = self.budget.limit - self.budget.spent
+        formed = sifted = 0
         for y in orbit:
-            from_x = itemgetter(*u[y])
-            for s in gens:
+            # u[x] is the identity, so the products from x are the generators
+            products = gens if y == x else map(itemgetter(*u[y]), gens)
+            for s, w in zip(gens, products):
                 z = s[y]
-                w = from_x(s)
                 uz = u.get(z)
                 if uz is None:
                     u[z] = w
                     v[z] = _inverse(w)
-                    orbit.append(z)
                     continue
                 if w == uz:
                     continue
                 # u_y, then s, then u_z^-1 fixes x (Schreier's lemma)
-                h = itemgetter(*w)(v[z])
                 sifted += 1
-                if sifted > room:
-                    self.budget.spend(sifted)  # raises
+                if z == x:
+                    h = w
+                else:
+                    h = itemgetter(*w)(v[z])
+                    formed += 1
                 # Sims' filter: kept[i, j] has first moved point i and maps
                 # it to j.  When h does too, "h, then kept[i, j]^-1" fixes i
                 # and every point before it.
                 i = 0
                 while True:
+                    if formed > room:
+                        self.budget.spend(formed * d)  # raises
                     while h[i] == i:
                         i += 1
                     key = (i, h[i])
@@ -292,10 +309,12 @@ class _Descent:
                     undo = inverse.get(key)
                     if undo is None:
                         undo = inverse[key] = _inverse(k)
+                        formed += 1
                     h = itemgetter(*h)(undo)
+                    formed += 1
                     if h == identity:
                         break
-        self.budget.spend(sifted)
+        self.budget.spend(formed * d)
         self.sifted += sifted
         return list(kept.values())
 
@@ -304,10 +323,10 @@ def count_orbits_injective(group: FinPermGroup, n: int, *, budget: Budget | None
     """Orbits of the generated group on injective k-tuples, k = 0..n.
 
     1 for n = 0 without search.  Above the degree d the search stops at
-    depth d, and the counts above d are 0.  The descent spends one unit
-    of ``budget`` (a fresh one of DEFAULT_NODE_BUDGET units when None)
-    per node and per sifted Schreier element, and raises CapacityError
-    as soon as it is spent.
+    depth d, and the counts above d are 0.  The descent spends ``budget``
+    (a fresh one of DEFAULT_NODE_BUDGET units when None) by the point
+    images it reads and writes (module docstring), and raises
+    CapacityError as soon as it is spent.
     """
     if n < 0:
         raise ValueError("tuple length must be non-negative")
@@ -316,6 +335,7 @@ def count_orbits_injective(group: FinPermGroup, n: int, *, budget: Budget | None
     d = group.degree
     budget = budget or Budget(DEFAULT_NODE_BUDGET)
     budget.stage = f"orbits on injective {n}-tuples of degree {d}"
+    budget.spend(d)  # the root's list of free points
     descent = _Descent(d, budget)
     # the generators that move a point, each once
     gens = list(dict.fromkeys(g for g in group.generators if g != descent.identity))

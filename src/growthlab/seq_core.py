@@ -28,17 +28,20 @@ when the other factor has full support, as over a finite factor the
 cut Pascal row costs less.  Both routes add big integers and multiply
 none.
 
-Work.  The kernels that build a triangle of terms take an optional
-errors.Budget.  Before they form any term, they name their step as its
-stage and spend on it the number of terms that their closed form
-counts, so a prefix too long for the budget raises CapacityError at
-once.  Over L values that is L(L+1)/2 for a Stirling transform, a Bell
-triangle, a binomial transform or the Stirling triangle of
-meet_trivial_pairs, and L * min(L, top + 1) for binomial_convolution
+Work.  The kernels that build a triangle of terms take an
+errors.Budget, a fresh one of DEFAULT_NODE_BUDGET units when None, as
+every budgeted call in growthlab does.  Before they form any term, they
+name their step as its stage and spend on it the number of terms that
+their closed form counts, so a prefix too long for the budget raises
+CapacityError at once.  Over L values that is L(L+1)/2 for a Stirling
+transform, a Bell triangle, a binomial transform or the Stirling
+triangle of meet_trivial_pairs, and L * min(L, top + 1) for binomial_convolution
 and exp_shift, with top the last non-zero index of the factor that
 ends first.  ``bell`` spends its triangle even when it slices the kept
-prefix, so what a call spends depends on its arguments alone.  Without
-a budget nothing is spent.
+prefix, so what a call spends depends on its arguments alone.  Two
+callers take Bell numbers from the unbudgeted ``_bell``: the Stirling
+transform of the pure set, which has spent the same triangle, and the
+Bell lower bound, over a prefix whose evaluation has spent more.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from itertools import accumulate, count, repeat
 from operator import add, index, mul, sub
 from typing import Iterator, Sequence, Union
 
-from .errors import Budget, ParseError
+from .errors import DEFAULT_NODE_BUDGET, Budget, ParseError
 from .record import Record
 
 Rational = Union[int, Fraction]
@@ -121,13 +124,15 @@ class BoundReport(Record):
                 raise ValueError("failing index must lie in verified_range")
 
 
-def _spend(budget: Budget | None, step: str, length: int, top: int | None = None) -> None:
-    """Spend on the budget, if there is one, the terms that a step over
-    prefixes of ``length`` values forms (module docstring): a triangle's
-    when top is None, else length * min(length, top + 1)."""
-    if budget is not None:
-        budget.stage = f"{step} to n = {length - 1}"
-        budget.spend(length * (length + 1) // 2 if top is None else length * min(length, top + 1))
+def _spend(budget: Budget | None, step: str, length: int, top: int | None = None) -> Budget:
+    """Spend on ``budget`` (a fresh one of DEFAULT_NODE_BUDGET units when
+    None) the terms that a step over prefixes of ``length`` values forms
+    (module docstring): a triangle's when top is None, else
+    length * min(length, top + 1).  Returns the budget spent."""
+    budget = budget or Budget(DEFAULT_NODE_BUDGET)
+    budget.stage = f"{step} to n = {length - 1}"
+    budget.spend(length * (length + 1) // 2 if top is None else length * min(length, top + 1))
+    return budget
 
 
 #: the longest Bell prefix built so far, and the last row of its triangle
@@ -146,6 +151,12 @@ def bell(n_max: int, *, budget: Budget | None = None) -> IntSeq:
     if n_max < 0:
         raise ValueError("bell needs n_max >= 0")
     _spend(budget, "Bell triangle", n_max + 1)
+    return _bell(n_max)
+
+
+def _bell(n_max: int) -> IntSeq:
+    """bell without spending: for the two callers of the module
+    docstring, whose triangle is spent already."""
     while len(_BELL) <= n_max:
         _BELL_ROW[:] = accumulate(_BELL_ROW, initial=_BELL_ROW[-1])
         _BELL.append(_BELL_ROW[0])
@@ -158,6 +169,7 @@ def bell2(n_max: int, *, budget: Budget | None = None) -> IntSeq:
     Counts ordered pairs (P, Q) of set partitions of [n] where P refines
     Q: the Stirling transform of the Bell numbers, sum_k S(n, k) * B_k.
     """
+    budget = budget or Budget(DEFAULT_NODE_BUDGET)
     return stirling_transform(bell(n_max, budget=budget), budget=budget)
 
 
@@ -183,7 +195,7 @@ def stirling_transform(l: IntSeq, *, budget: Budget | None = None) -> IntSeq:
     u = list(l.values)
     _spend(budget, "Stirling transform", len(u))
     if _all_ones(u):
-        return bell(len(u) - 1)
+        return _bell(len(u) - 1)
     if is_one_point(u):
         return IntSeq((1,) * len(u))
     vals = [u[0]]
@@ -340,7 +352,7 @@ def _check_cellular(seq: IntSeq, grid: Sequence[tuple[Rational, Rational]]) -> B
 
 def _check_bell_lower(seq: IntSeq) -> BoundReport:
     top = seq.last_index
-    b = bell(top)
+    b = _bell(top)
     for n in range(1, top + 1):
         if seq[n] < b[n]:
             return BoundReport(KIND_BELL_LOWER, False, (1, top), first_fail=n)
@@ -422,6 +434,7 @@ def meet_trivial_pairs(n_max: int, *, budget: Budget | None = None) -> IntSeq:
     """
     if n_max < 0:
         raise ValueError("meet_trivial_pairs needs n_max >= 0")
+    budget = budget or Budget(DEFAULT_NODE_BUDGET)
     squares = [b * b for b in bell(n_max, budget=budget)]
     _spend(budget, "Stirling triangle", n_max + 1)
     row = [1]

@@ -98,6 +98,15 @@ def test_seq_bad_expression_is_input_error(tmp_path):
     assert proc.returncode == 2
 
 
+def test_seq_digit_outside_the_grammar_is_input_error(tmp_path):
+    # a superscript two is a digit to str.isdigit but not to the grammar
+    bad = tmp_path / "bad.expr"
+    bad.write_text("(finite \u00b2)\n", encoding="utf-8")
+    proc = run_cli("seq", str(bad))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("growthlab: parse error at position 8")
+
+
 def test_seq_capacity_exit(tmp_path):
     # the evaluation and the Stirling transform spend 45 units, and the
     # oracle count at level m = 2 overruns the budget
@@ -112,12 +121,13 @@ def test_seq_capacity_exit(tmp_path):
 def test_seq_capacity_names_the_stage():
     # level m = 5 of (wr (wr (finite 1))) acts on 25 points and is counted
     # to depth 4; the budget runs out in the middle of that descent, at
-    # the first unit past the limit, and the rows of levels 1..4 stay
-    proc = run_cli("seq", E_REL, "--max-n", "4", "--oracle-check", "--budget-tuples", "1000", "--deterministic")
+    # the first permutation of 25 points past the limit, and the rows of
+    # levels 1..4 stay
+    proc = run_cli("seq", E_REL, "--max-n", "4", "--oracle-check", "--budget-tuples", "28000", "--deterministic")
     assert proc.returncode == 3
     env = json.loads(proc.stdout)
-    assert env["telemetry"]["capacity"] == "orbits on injective 4-tuples of degree 25: node budget 1000 exceeded"
-    assert env["telemetry"]["nodes"] == "1001"
+    assert env["telemetry"]["capacity"] == "orbits on injective 4-tuples of degree 25: node budget 28000 exceeded"
+    assert 28000 < int(env["telemetry"]["nodes"]) <= 28000 + 25
     oracle = rows_by_name(env, "oracle-l")
     assert [(r["n"], r["oracle"]["trunc_m"]) for r in oracle] == [
         (str(n), str(m)) for n in range(1, 5) for m in (n, n + 1)
@@ -135,6 +145,28 @@ def test_seq_oracle_check_keeps_its_rows_at_the_default_budget():
     ]
     assert all(r["verdict"] == "match" for r in oracle)
     assert (env["telemetry"]["oracle_nodes"], env["telemetry"]["oracle_sifted"]) == ("63", "8837")
+
+
+@pytest.mark.parametrize(
+    "text, degree",
+    [
+        # the transversal of S_20000 would hold 2 * 20000 permutations of
+        # 20000 points; its 3 * 20000 * 19999 point images are spent
+        # before any is formed
+        ("(finite 20000 full-sym)", 20000),
+        # the root would list 10^11 free points
+        ("(finite 100000000000)", 100000000000),
+    ],
+)
+def test_seq_leaf_of_large_degree_exits_at_once(tmp_path, text, degree):
+    expr = tmp_path / "big.expr"
+    expr.write_text(text + "\n")
+    start = time.perf_counter()
+    proc = run_cli("seq", str(expr), "--max-n", "2")
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 3
+    env = json.loads(proc.stdout)
+    assert env["telemetry"]["capacity"] == f"orbits on injective 2-tuples of degree {degree}: node budget 10000000 exceeded"
 
 
 def test_seq_prefix_over_the_budget_exits_at_once():
@@ -167,7 +199,8 @@ def test_budget_below_one_is_input_error(flag, value):
 @pytest.mark.parametrize("budget, code", [("400", 3), (None, 0)])
 def test_seq_leaf_counts_spend_the_tuple_budget(tmp_path, budget, code):
     # the leaf S_11 has one orbit on perm(11, 11) = 39,916,800 tuples; its
-    # descent takes 10 nodes and 487 sifted elements
+    # descent takes 10 nodes and 487 sifted elements and spends 19,967
+    # point images
     expr = tmp_path / "s11.expr"
     expr.write_text("(finite 11 full-sym)\n")
     argv = ["seq", str(expr), "--max-n", "11", "--deterministic"] + (["--budget-tuples", budget] if budget else [])
@@ -179,7 +212,7 @@ def test_seq_leaf_counts_spend_the_tuple_budget(tmp_path, budget, code):
     else:
         assert rows_by_name(env, "l")[11]["value"] == "1"
         # the descent, then the 78 terms of the Stirling transform
-        assert env["telemetry"]["nodes"] == str(10 + 487 + 78)
+        assert env["telemetry"]["nodes"] == str(19967 + 78)
 
 
 def test_trunc_m_below_one_is_input_error_without_the_oracle_check():
@@ -306,8 +339,8 @@ def test_bounds_msnc_fails_at_20():
 
 @pytest.mark.parametrize("budget, code", [("400", 3), (None, 0)])
 def test_bounds_leaf_counts_spend_the_tuple_budget(tmp_path, budget, code):
-    # the leaf S_11 counted to n = 30 stops at depth 11: 10 nodes and 487
-    # sifted elements, then exp_shift forms 31 * 12 terms
+    # the leaf S_11 counted to n = 30 stops at depth 11 and spends 19,967
+    # point images, as in seq, then exp_shift forms 31 * 12 terms
     expr = tmp_path / "ws11.expr"
     expr.write_text("(wr (finite 11 full-sym))\n")
     argv = ["bounds", str(expr), "--deterministic"] + (["--budget-tuples", budget] if budget else [])
@@ -320,7 +353,7 @@ def test_bounds_leaf_counts_spend_the_tuple_budget(tmp_path, budget, code):
         assert not cell
     else:
         assert [(r["verdict"], r["c"], r["d"]) for r in cell] == [("pass", "1", "3/5")]
-        assert env["telemetry"]["nodes"] == str(10 + 487 + 31 * 12)
+        assert env["telemetry"]["nodes"] == str(19967 + 31 * 12)
 
 
 def test_bounds_finite_has_no_bounds(tmp_path):

@@ -1,6 +1,7 @@
 """Expression DSL: parsing, formatting, classification, sequence evaluation."""
 from __future__ import annotations
 
+import sys
 from math import comb, perm
 
 import pytest
@@ -67,6 +68,8 @@ BAD = [
     ("(finite 2 gens=[(0 5)])", 20),
     ("(finite 2) junk", 11),
     ("(badop 1)", 6),
+    # a digit that int() reads but the grammar does not
+    ("(finite \u00b2)", 8),
 ]
 
 
@@ -75,6 +78,19 @@ def test_parse_errors_carry_positions(text, pos):
     with pytest.raises(ParseError) as exc_info:
         parse_expr(text)
     assert exc_info.value.position == pos
+
+
+def test_integer_past_the_int_digit_limit_is_a_parse_error():
+    # int() refuses a string of more digits than the interpreter's limit
+    # with a bare ValueError; the scanner reports it at the integer
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ParseError) as exc_info:
+            parse_expr("(finite " + "9" * 5000 + ")")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert exc_info.value.position == 8
 
 
 # ---------------------------------------------------------------------------

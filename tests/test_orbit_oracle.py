@@ -309,11 +309,16 @@ def test_copies_of_a_group_match_brute(g):
 
 def test_telemetry_counts_nodes_and_sifted_elements():
     # S3 on pairs: the root, and the stabilizer S2 of point 0, which only
-    # counts its orbits; each node and each sifted element spends a unit
+    # counts its orbits.  The root lists 3 points, scans them under 2
+    # generators and forms the transversal of the orbit {0, 1, 2}: 2
+    # products and 1 inverse for each of 2 points.  It sifts 3 Schreier elements, the
+    # third equal to its product; the second and third divide to the
+    # identity by the first, whose inverse is formed once: 5 permutations.
+    # The child scans 2 points under the one generator kept.
     budget = Budget(100)
     r = count_orbits_injective(FinPermGroup.symmetric(3), 2, budget=budget)
-    assert (r.n, r.counts, r.nodes) == (2, (1, 1, 1), 2)
-    assert budget.spent == r.nodes + r.sifted
+    assert (r.n, r.counts, r.nodes, r.sifted) == (2, (1, 1, 1), 2, 3)
+    assert budget.spent == 3 + 3 * 2 + 3 * 2 * (2 + 1) + 3 * 5 + 2 * 1
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
@@ -346,12 +351,14 @@ def test_tuple_budget_exhaustion_raises():
 
 
 def test_tuple_budget_exhaustion_inside_the_frontier_raises():
-    # S_40 to n = 40 sifts 170,973 elements; the count raises at the first
-    # unit past the limit, in the middle of a stabilizer's sifting
-    budget = Budget(1000)
+    # S_40 to n = 40 sifts 170,973 elements.  The root's points, scan and
+    # transversal spend 40 + 40 * 2 + 40 * 39 * 3 = 4,800 units; the count
+    # raises in the middle of the root stabilizer's sifting, at the first
+    # permutation of 40 points past the limit
+    budget = Budget(5000)
     with pytest.raises(CapacityError):
         count_orbits_injective(FinPermGroup.symmetric(40), 40, budget=budget)
-    assert budget.spent == 1001
+    assert 5000 < budget.spent <= 5000 + 40
 
 
 def test_tuple_budget_error_names_its_stage():
@@ -371,6 +378,19 @@ def test_small_budget_on_a_large_state_space_fails_fast():
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 25 * 1024
 
 
+def test_a_leaf_of_large_degree_is_refused_before_its_transversal():
+    # the transversal of S_20000 at the root would form 3 * 19999
+    # permutations of 20000 points; the default budget refuses them
+    # before the first is formed
+    g = FinPermGroup.symmetric(20000)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        count_orbits_injective(g, 2)
+    assert time.perf_counter() - start < 0.1
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 25 * 1024
+
+
 def test_all_tuples_of_many_positions():
     # S2 swaps the two points of every tuple, so its 2^20 tuples of length
     # 20 pair up; the stabilizer of the first point is trivial, so the
@@ -381,11 +401,11 @@ def test_all_tuples_of_many_positions():
 
 def test_the_size_of_the_tuple_space_is_not_spent():
     # the trivial group on 1000 points closes at the root: its
-    # perm(1000, 4) injective 4-tuples are each an orbit, and no node or
-    # Schreier element is spent
-    budget = Budget(1)
+    # perm(1000, 4) injective 4-tuples are each an orbit, and only the
+    # root's 1000 free points are spent
+    budget = Budget(1000)
     r = count_orbits_injective(FinPermGroup.trivial(1000), 4, budget=budget)
-    assert (r.count, r.nodes, budget.spent) == (perm(1000, 4), 0, 0)
+    assert (r.count, r.nodes, budget.spent) == (perm(1000, 4), 0, 1000)
 
 
 def test_rejects_negative_n():

@@ -316,3 +316,21 @@ def test_a_step_over_budget_names_its_stage():
     with pytest.raises(CapacityError, match=r"^Stirling transform to n = 9999: node budget 1000000 exceeded$"):
         stirling_transform(IntSeq((1, 2) * 5000), budget=budget)
     assert budget.spent == 10_000 * 10_001 // 2
+
+
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda: stirling_transform(IntSeq((1, 2) * 2500)),
+        lambda: bell(4999),
+        lambda: bell2(4999),
+        lambda: exp_shift(IntSeq((1, 2) * 2500)),
+        lambda: meet_trivial_pairs(4999),
+    ],
+    ids=["stirling", "bell", "bell2", "exp-shift", "meet-trivial"],
+)
+def test_a_step_without_a_budget_spends_a_fresh_default_one(step):
+    # 5000 * 5001 / 2 terms are past the default of 10^7, and are spent
+    # before any is formed
+    with pytest.raises(CapacityError, match=r"node budget 10000000 exceeded$"):
+        step()
