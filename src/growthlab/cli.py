@@ -11,8 +11,9 @@ choices, default, required, help), the output flags every leaf shares
 and the flag that sets its budget: --budget-tuples for seq, bounds and
 oeis, --budget-nodes for the others.  Both set the limit of the one
 errors.Budget that main hands to every stage of the command, in work
-units: search nodes, the points and point images of the orbit descent,
-and the terms of each sequence step; telemetry.nodes is what it spent.
+units: search nodes, the generator images of a parsed leaf, the points
+and point images of the orbit descent, and the terms of each sequence
+step; telemetry.nodes is what it spent.
 main reads a command line straight from the table.  A line the reader
 does not take as written (-h, any error, an abbreviated flag,
 --flag=value, a repeated flag, a value starting with '-') goes to the
@@ -167,7 +168,7 @@ def _common_config(args) -> dict:
 def _cmd_seq(args, rows, tel, config, budget) -> int:
     if args.trunc_m is not None and not args.oracle_check:
         raise ParseError("--trunc-m only applies with --oracle-check")
-    expr = parse_expr(Path(args.expr_file).read_text())
+    expr = parse_expr(Path(args.expr_file).read_text(), budget=budget)
     config["expr"] = format_expr(expr)
     config["max_n"] = args.max_n
     config["oracle_check"] = args.oracle_check
@@ -232,7 +233,7 @@ def _parse_grid(text: str):
 
 def _cmd_bounds(args, rows, tel, config, budget) -> int:
     cell_grid, c_grid = (None, None) if args.grid is None else _parse_grid(args.grid)
-    expr = parse_expr(Path(args.expr_file).read_text())
+    expr = parse_expr(Path(args.expr_file).read_text(), budget=budget)
     config["expr"] = format_expr(expr)
     config["max_n"] = args.max_n
     if args.grid is not None:
@@ -301,7 +302,7 @@ def _cmd_oeis(args, rows, tel, config, budget) -> int:
         named = {"bell": bell, "bell2": bell2, "meet-trivial-pairs": meet_trivial_pairs}
         seq = named[args.named_seq](top, budget=budget)
     else:
-        expr = parse_expr(Path(args.expr_file).read_text())
+        expr = parse_expr(Path(args.expr_file).read_text(), budget=budget)
         config["expr"] = format_expr(expr)
         config["use_s"] = args.use_s
         # at least l_0, l_1, as eval_lseq needs; --max-n 0 compares index 0 only

@@ -192,7 +192,7 @@ def _parse_cycles(sc: _Scanner, degree: int) -> tuple[int, ...]:
     return tuple(image)
 
 
-def _parse_finite(sc: _Scanner) -> Finite:
+def _parse_finite(sc: _Scanner, budget: Budget) -> Finite:
     sc.skip_ws()
     k = sc.integer()
     if k < 1:
@@ -203,6 +203,8 @@ def _parse_finite(sc: _Scanner) -> Finite:
     mark = sc.pos
     word = sc.word()
     if word == "full-sym":
+        # no generator for k = 1, a swap for k = 2, a swap and a k-cycle above
+        budget.spend(k * min(k - 1, 2))
         return Finite(FinPermGroup.symmetric(k))
     if word != "gens":
         sc.pos = mark
@@ -212,6 +214,7 @@ def _parse_finite(sc: _Scanner) -> Finite:
     gens = []
     sc.skip_ws()
     while sc.peek() != "]":
+        budget.spend(k)
         gens.append(_parse_cycles(sc, k))
         sc.skip_ws()
         if sc.peek() == ",":
@@ -224,25 +227,25 @@ def _parse_finite(sc: _Scanner) -> Finite:
     return Finite(FinPermGroup(k, tuple(gens)))
 
 
-def _parse_node(sc: _Scanner) -> GroupExpr:
+def _parse_node(sc: _Scanner, budget: Budget) -> GroupExpr:
     sc.skip_ws()
     sc.expect("(")
     sc.skip_ws()
     head = sc.word()
     if head == "finite":
-        node: GroupExpr = _parse_finite(sc)
+        node: GroupExpr = _parse_finite(sc, budget)
     elif head == "prod":
         factors = []
         while True:
             sc.skip_ws()
             if sc.peek() == ")":
                 break
-            factors.append(_parse_node(sc))
+            factors.append(_parse_node(sc, budget))
         if len(factors) < 2:
             sc.error("prod needs at least two factors")
         node = DirectProduct(tuple(factors))
     elif head == "wr":
-        node = WreathSomega(_parse_node(sc))
+        node = WreathSomega(_parse_node(sc, budget))
     else:
         sc.error(f"unknown form {head!r}; expected finite, prod or wr")
     sc.skip_ws()
@@ -250,10 +253,17 @@ def _parse_node(sc: _Scanner) -> GroupExpr:
     return node
 
 
-def parse_expr(text: str) -> GroupExpr:
-    """Parse the expression DSL; errors carry the character position."""
+def parse_expr(text: str, *, budget: Budget | None = None) -> GroupExpr:
+    """Parse the expression DSL; errors carry the character position.
+
+    A leaf of degree k spends ``budget`` (a fresh one of
+    DEFAULT_NODE_BUDGET units when None) k units per generator before it
+    builds the generator's k images, so a huge leaf raises CapacityError
+    at stage "parse" instead of filling memory."""
+    budget = budget or Budget(DEFAULT_NODE_BUDGET)
+    budget.stage = "parse"
     sc = _Scanner(text)
-    node = _parse_node(sc)
+    node = _parse_node(sc, budget)
     sc.skip_ws()
     if sc.pos != len(sc.text):
         sc.error("trailing input after expression")

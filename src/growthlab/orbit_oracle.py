@@ -32,6 +32,21 @@ n.  There is no array per state: each level of the descent holds its
 generators and, while it builds a child, one transversal of at most d
 elements, all permutations of the d points.
 
+Repeats.  Most Schreier elements of a stabilizer repeat one met before
+in it, and two rules spare them the filter, while the filter keeps the
+same elements in the same order.  (1) The filter keeps the set of the
+Schreier elements it has sifted and does not sift one in that set
+again.  Kept elements are never replaced, so a repeat would divide by
+the same kept elements as before and end at the identity, or at the
+element kept then, which divides to the identity.  (2) For y other than
+x, let e be the generator of the tree edge into y, so that u_y = u_p e
+with p = e^-1(y) reached before y.  If a generator s moves no point
+that e moves, then s commutes with e and fixes p and y, which e moves,
+so the element of y and s is u_y s u_y^-1 = u_p e s e^-1 u_p^-1 =
+u_p s u_p^-1, the element of p and s, met before (s itself when p = x).
+It is counted, but neither of its products is formed.  A bit mask of
+the points each generator moves makes the test one AND.
+
 Three rules keep the work small.  At the last position a node only
 counts the orbits.  A trivial H closes with the falling factorials
 perm(f, j) of its f free points.  And a node expands one orbit per
@@ -55,26 +70,29 @@ to find the orbit.  The work grows with the classes of orbits of the
 prefixes, not with the number of tuples or sets of points.
 
 Telemetry and budget.  OrbitCount.nodes counts the stabilizers whose
-orbits were computed and OrbitCount.sifted the Schreier elements put
-through the filter.  The descent spends the caller's errors.Budget as
+orbits were computed and OrbitCount.sifted the Schreier elements other
+than the identity, repeats included, so neither depends on the rules
+for repeats.  The descent spends the caller's errors.Budget as
 it works, one unit per point it lists and per point image it reads or
 writes.  The root spends d for its free points, a node |free| |S| for
 the scan that finds its orbits, and a stabilizer d for each permutation
 of the d points that it forms: its transversal, d (|S| + 1) per orbit
 point other than x, before it forms any product or inverse, then each
 Schreier element, quotient in the filter and inverse of a kept element
-as it forms it.  So the budget bounds the work and the memory of the
-descent, not the size of the tuple space: the trivial group on d points
-spends d, and S_d spends 3 d (d - 1) on its first transversal, which
-refuses S_20000 before it is built.  A count over budget raises
-CapacityError in the middle of the descent; it never returns a partial
-count.
+as it forms it.  The set of Schreier elements met holds only elements
+so spent.  The test for interchangeable orbits spends |O| |S| for the
+cycle lengths of an orbit O and for each guess t that it follows.  So
+the budget bounds the work and the memory of the descent, not the size
+of the tuple space: the trivial group on d points spends d, and S_d
+spends 3 d (d - 1) on its first transversal, which refuses S_20000
+before it is built.  A count over budget raises CapacityError in the
+middle of the descent; it never returns a partial count.
 """
 
 from __future__ import annotations
 
 from math import perm
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from .errors import DEFAULT_NODE_BUDGET, Budget
 from .record import Record
@@ -119,8 +137,9 @@ class OrbitCount(Record):
     """Result of one orbit count, with telemetry.
 
     ``counts`` holds the orbits on injective k-tuples for k = 0..n and
-    ``count`` is counts[n].  ``nodes`` and ``sifted`` are the
-    stabilizers expanded and the Schreier elements sifted.  All are
+    ``count`` is counts[n].  ``nodes`` is the stabilizers expanded and
+    ``sifted`` their Schreier elements other than the identity, repeats
+    included, whether the filter sifted them again or not.  All are
     deterministic.
     """
 
@@ -141,10 +160,12 @@ def _inverse(g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _classes(gens: list, orbits: list[list[int]]) -> list[tuple[list[int], int]]:
+def _classes(gens: list, orbits: list[list[int]], budget: Budget) -> list[tuple[list[int], int]]:
     """The orbits in classes of interchangeable ones (module docstring):
     the first orbit of each class, with the number of orbits in it."""
-    found = {}  # bucket key -> [[first orbit of a class, its size], ...]
+    # bucket key -> [[first orbit of a class, its size, the cycle lengths
+    # of its first point or None until they are needed], ...]
+    found = {}
     for orbit in orbits:
         if len(orbit) == 1:
             key = 1
@@ -156,26 +177,28 @@ def _classes(gens: list, orbits: list[list[int]]) -> list[tuple[list[int], int]]
             key = (len(orbit), *[images(s) == fixed for s in gens])
         bucket = found.setdefault(key, [])
         if not bucket:
-            bucket.append([orbit, 1])
+            bucket.append([orbit, 1, None])
         elif key == 1:
             # any two fixed points are interchangeable
             bucket[0][1] += 1
         else:
-            lengths = _cycle_lengths(gens, orbit)
+            lengths = _cycle_lengths(gens, orbit, budget)
             for entry in bucket:
-                first = entry[0]
-                root = _cycle_lengths(gens, first)[first[0]]
-                if any(lengths[t] == root and _commutes(gens, first, t) for t in orbit):
+                first, _, root = entry
+                if root is None:
+                    root = entry[2] = _cycle_lengths(gens, first, budget)[first[0]]
+                if any(lengths[t] == root and _commutes(gens, first, t, budget) for t in orbit):
                     entry[1] += 1
                     break
             else:
-                bucket.append([orbit, 1])
-    return [(first, size) for bucket in found.values() for first, size in bucket]
+                bucket.append([orbit, 1, lengths[orbit[0]]])
+    return [(first, size) for bucket in found.values() for first, size, _ in bucket]
 
 
-def _cycle_lengths(gens: list, orbit: list[int]) -> dict[int, tuple[int, ...]]:
+def _cycle_lengths(gens: list, orbit: list[int], budget: Budget) -> dict[int, tuple[int, ...]]:
     """For each point of the orbit, the length of its cycle under each
-    generator in turn."""
+    generator in turn.  Spends the |orbit| |gens| point images read."""
+    budget.spend(len(orbit) * len(gens))
     lengths = {p: [] for p in orbit}
     for s in gens:
         done = set()
@@ -193,11 +216,13 @@ def _cycle_lengths(gens: list, orbit: list[int]) -> dict[int, tuple[int, ...]]:
     return {p: tuple(v) for p, v in lengths.items()}
 
 
-def _commutes(gens: list, orbit: list[int], t: int) -> bool:
+def _commutes(gens: list, orbit: list[int], t: int, budget: Budget) -> bool:
     """Whether x -> t, x the first point of the orbit, extends along the
     generator edges to a map phi with phi(s(p)) = s(phi(p)) for every
     generator s and every point p of the orbit.  Such a phi maps the orbit
-    onto the orbit of t, so it is one-to-one when the two have one size."""
+    onto the orbit of t, so it is one-to-one when the two have one size.
+    Spends the |orbit| |gens| point images that a success reads."""
+    budget.spend(len(orbit) * len(gens))
     phi = {orbit[0]: t}
     # the orbit lists its points in the order the generators reached them
     # from x, so phi is known at each y before its edges are followed
@@ -243,7 +268,7 @@ class _Descent:
         if r == 1:
             return [1, len(orbits)]
         counts = [1] + [0] * r
-        for orbit, size in _classes(gens, orbits):
+        for orbit, size in _classes(gens, orbits, self.budget):
             x = orbit[0]
             # H_x = H when H fixes x
             child = gens if len(orbit) == 1 else self.stabilizer(gens, orbit)
@@ -256,7 +281,10 @@ class _Descent:
         """Generators of the stabilizer of x = orbit[0]: the Schreier
         elements of its orbit under gens, through Sims' filter.  The
         orbit lists its points in the order the generators reach them
-        from x, as descend finds it."""
+        from x, as descend finds it.  A Schreier element that the filter
+        has met before is counted but not sifted again, and one that a
+        generator commuting with the tree edge into y shows to be a
+        repeat is counted but not formed (module docstring)."""
         identity = self.identity
         d = len(identity)
         # the transversal forms, per orbit point other than x, one product
@@ -266,22 +294,36 @@ class _Descent:
         room = (self.budget.limit - self.budget.spent) // d
         # A permutation is the tuple of its images, and itemgetter(*g)(h)
         # is the product "g, then h".  u[y] maps x to y, v[y] = u[y]^-1.
+        # moved[s] has a bit for each point that s moves, and edge[y] is
+        # moved[e] for the generator e of the tree edge into y, where u[y]
+        # = u[e^-1(y)] e; at x it has every bit.
         x = orbit[0]
         u = {x: identity}
         v = {x: identity}
+        moved = [int.from_bytes(bytes(map(ne, s, identity)), "little") for s in gens]
+        edge = {x: -1}
         kept = {}
         find = kept.get
         inverse = {}
+        met = set()
         formed = sifted = 0
         for y in orbit:
+            last = edge[y]
             # u[x] is the identity, so the products from x are the generators
-            products = gens if y == x else map(itemgetter(*u[y]), gens)
-            for s, w in zip(gens, products):
+            times = None if y == x else itemgetter(*u[y])
+            for s, m in zip(gens, moved):
+                if not m & last:
+                    # s commutes with e and fixes y and e^-1(y), so the
+                    # element is the one of e^-1(y) and s, met before
+                    sifted += 1
+                    continue
                 z = s[y]
+                w = s if times is None else times(s)
                 uz = u.get(z)
                 if uz is None:
                     u[z] = w
                     v[z] = _inverse(w)
+                    edge[z] = m
                     continue
                 if w == uz:
                     continue
@@ -292,13 +334,17 @@ class _Descent:
                 else:
                     h = itemgetter(*w)(v[z])
                     formed += 1
+                    if formed > room:
+                        self.budget.spend(formed * d)  # raises
+                size = len(met)
+                met.add(h)
+                if len(met) == size:
+                    continue  # met before: its sift would change nothing
                 # Sims' filter: kept[i, j] has first moved point i and maps
                 # it to j.  When h does too, "h, then kept[i, j]^-1" fixes i
                 # and every point before it.
                 i = 0
                 while True:
-                    if formed > room:
-                        self.budget.spend(formed * d)  # raises
                     while h[i] == i:
                         i += 1
                     key = (i, h[i])
@@ -312,6 +358,8 @@ class _Descent:
                         formed += 1
                     h = itemgetter(*h)(undo)
                     formed += 1
+                    if formed > room:
+                        self.budget.spend(formed * d)  # raises
                     if h == identity:
                         break
         self.budget.spend(formed * d)

@@ -258,6 +258,45 @@ def brute_orbit_count(gens, degree: int, n: int, injective: bool) -> int:
     return len(canon)
 
 
+def sims_filter(gens, orbit: list[int]) -> list[tuple[int, ...]]:
+    """Generators of the stabilizer of x = orbit[0] in the group that
+    gens generate: every Schreier element u_y s u_{s(y)}^-1, over the
+    points y of the orbit in order and the generators s in order, put
+    through Sims' filter, none skipped.  u_y is the product along the
+    first generator edge that reaches y, so the orbit must list its
+    points in the order the generators reach them from x.  The filter
+    keeps an element whose first moved point i and image h(i) no kept
+    element shares, and divides it by the kept one otherwise."""
+    degree = len(gens[0])
+
+    def then(g, h):
+        return tuple(h[g[p]] for p in range(degree))
+
+    def inverse(g):
+        inv = [0] * degree
+        for p, q in enumerate(g):
+            inv[q] = p
+        return tuple(inv)
+
+    identity = tuple(range(degree))
+    u = {orbit[0]: identity}
+    kept: dict[tuple[int, int], tuple[int, ...]] = {}
+    for y in orbit:
+        for s in gens:
+            w = then(u[y], s)
+            if s[y] not in u:
+                u[s[y]] = w
+                continue
+            h = then(w, inverse(u[s[y]]))
+            while h != identity:
+                i = next(p for p in range(degree) if h[p] != p)
+                if (i, h[i]) not in kept:
+                    kept[i, h[i]] = h
+                    break
+                h = then(h, inverse(kept[i, h[i]]))
+    return list(kept.values())
+
+
 def _order_in_sym(gens, s: int) -> int:
     """Order of the subgroup of Sym(s) that the generators produce.  A
     generator already in the group built so far adds nothing; a new one

@@ -120,14 +120,15 @@ def test_seq_capacity_exit(tmp_path):
 
 def test_seq_capacity_names_the_stage():
     # level m = 5 of (wr (wr (finite 1))) acts on 25 points and is counted
-    # to depth 4; the budget runs out in the middle of that descent, at
-    # the first permutation of 25 points past the limit, and the rows of
-    # levels 1..4 stay
-    proc = run_cli("seq", E_REL, "--max-n", "4", "--oracle-check", "--budget-tuples", "28000", "--deterministic")
+    # to depth 4, from 12,764 units spent to 56,560; the budget runs out
+    # in the middle of that descent, while its root sifts, at the first
+    # permutation of 25 points past the limit, and the rows of levels
+    # 1..4 stay
+    proc = run_cli("seq", E_REL, "--max-n", "4", "--oracle-check", "--budget-tuples", "17000", "--deterministic")
     assert proc.returncode == 3
     env = json.loads(proc.stdout)
-    assert env["telemetry"]["capacity"] == "orbits on injective 4-tuples of degree 25: node budget 28000 exceeded"
-    assert 28000 < int(env["telemetry"]["nodes"]) <= 28000 + 25
+    assert env["telemetry"]["capacity"] == "orbits on injective 4-tuples of degree 25: node budget 17000 exceeded"
+    assert 17000 < int(env["telemetry"]["nodes"]) <= 17000 + 25
     oracle = rows_by_name(env, "oracle-l")
     assert [(r["n"], r["oracle"]["trunc_m"]) for r in oracle] == [
         (str(n), str(m)) for n in range(1, 5) for m in (n, n + 1)
@@ -148,17 +149,20 @@ def test_seq_oracle_check_keeps_its_rows_at_the_default_budget():
 
 
 @pytest.mark.parametrize(
-    "text, degree",
+    "text, stage",
     [
         # the transversal of S_20000 would hold 2 * 20000 permutations of
         # 20000 points; its 3 * 20000 * 19999 point images are spent
         # before any is formed
-        ("(finite 20000 full-sym)", 20000),
+        ("(finite 20000 full-sym)", "orbits on injective 2-tuples of degree 20000"),
         # the root would list 10^11 free points
-        ("(finite 100000000000)", 100000000000),
+        ("(finite 100000000000)", "orbits on injective 2-tuples of degree 100000000000"),
+        # the parser would build 2 generators of 10^11 images each
+        ("(finite 100000000000 full-sym)", "parse"),
     ],
+    ids=["(finite 20000 full-sym)-20000", "(finite 100000000000)-100000000000", "(finite 100000000000 full-sym)-parse"],
 )
-def test_seq_leaf_of_large_degree_exits_at_once(tmp_path, text, degree):
+def test_seq_leaf_of_large_degree_exits_at_once(tmp_path, text, stage):
     expr = tmp_path / "big.expr"
     expr.write_text(text + "\n")
     start = time.perf_counter()
@@ -166,7 +170,7 @@ def test_seq_leaf_of_large_degree_exits_at_once(tmp_path, text, degree):
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == 3
     env = json.loads(proc.stdout)
-    assert env["telemetry"]["capacity"] == f"orbits on injective 2-tuples of degree {degree}: node budget 10000000 exceeded"
+    assert env["telemetry"]["capacity"] == f"{stage}: node budget 10000000 exceeded"
 
 
 def test_seq_prefix_over_the_budget_exits_at_once():
@@ -198,9 +202,9 @@ def test_budget_below_one_is_input_error(flag, value):
 
 @pytest.mark.parametrize("budget, code", [("400", 3), (None, 0)])
 def test_seq_leaf_counts_spend_the_tuple_budget(tmp_path, budget, code):
-    # the leaf S_11 has one orbit on perm(11, 11) = 39,916,800 tuples; its
-    # descent takes 10 nodes and 487 sifted elements and spends 19,967
-    # point images
+    # the leaf S_11 has one orbit on perm(11, 11) = 39,916,800 tuples; the
+    # parser spends its 2 generators of 11 images, and its descent takes
+    # 10 nodes and 487 sifted elements and spends 13,301 point images
     expr = tmp_path / "s11.expr"
     expr.write_text("(finite 11 full-sym)\n")
     argv = ["seq", str(expr), "--max-n", "11", "--deterministic"] + (["--budget-tuples", budget] if budget else [])
@@ -211,8 +215,8 @@ def test_seq_leaf_counts_spend_the_tuple_budget(tmp_path, budget, code):
         assert env["telemetry"]["capacity"] == "orbits on injective 11-tuples of degree 11: node budget 400 exceeded"
     else:
         assert rows_by_name(env, "l")[11]["value"] == "1"
-        # the descent, then the 78 terms of the Stirling transform
-        assert env["telemetry"]["nodes"] == str(19967 + 78)
+        # the parse, the descent, then the 78 terms of the Stirling transform
+        assert env["telemetry"]["nodes"] == str(2 * 11 + 13301 + 78)
 
 
 def test_trunc_m_below_one_is_input_error_without_the_oracle_check():
@@ -339,8 +343,9 @@ def test_bounds_msnc_fails_at_20():
 
 @pytest.mark.parametrize("budget, code", [("400", 3), (None, 0)])
 def test_bounds_leaf_counts_spend_the_tuple_budget(tmp_path, budget, code):
-    # the leaf S_11 counted to n = 30 stops at depth 11 and spends 19,967
-    # point images, as in seq, then exp_shift forms 31 * 12 terms
+    # the leaf S_11 is parsed and counted to n = 30, which stops at depth
+    # 11, for 2 * 11 + 13,301 units as in seq; then exp_shift forms 31 * 12
+    # terms
     expr = tmp_path / "ws11.expr"
     expr.write_text("(wr (finite 11 full-sym))\n")
     argv = ["bounds", str(expr), "--deterministic"] + (["--budget-tuples", budget] if budget else [])
@@ -353,7 +358,7 @@ def test_bounds_leaf_counts_spend_the_tuple_budget(tmp_path, budget, code):
         assert not cell
     else:
         assert [(r["verdict"], r["c"], r["d"]) for r in cell] == [("pass", "1", "3/5")]
-        assert env["telemetry"]["nodes"] == str(19967 + 31 * 12)
+        assert env["telemetry"]["nodes"] == str(2 * 11 + 13301 + 31 * 12)
 
 
 def test_bounds_finite_has_no_bounds(tmp_path):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from growthlab import Budget, CapacityError, FinPermGroup, Finite, IntSeq
 from growthlab import count_orbits_injective, parse_expr, stirling_transform
-from growthlab import truncate_expr
+from growthlab import eval_lseq, truncate_expr
 from growthlab.group_expr import MAX_TRUNC_DEGREE
+from growthlab.orbit_oracle import _Descent
 
 import oracles
 
@@ -295,6 +296,72 @@ def test_descent_work_with_and_without_interchangeable_orbits(group, n, counts, 
     assert (r.counts, r.nodes, r.sifted) == (counts, nodes, sifted)
 
 
+# ---------------------------------------------------------------------------
+# Against the plain Sims filter (oracles.sims_filter), which sifts every
+# Schreier element
+
+
+def stabilizer_calls(g: FinPermGroup, n: int) -> list:
+    """The generators, orbit and kept generators of every stabilizer
+    that the descent of g to depth n builds."""
+    calls = []
+    stabilizer = _Descent.stabilizer
+
+    def record(self, gens, orbit):
+        kept = stabilizer(self, gens, orbit)
+        calls.append((list(gens), list(orbit), kept))
+        return kept
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Descent, "stabilizer", record)
+        count_orbits_injective(g, n)
+    return calls
+
+
+def oracle_check_levels(text: str, top: int, trunc_m: int | None = None):
+    """The truncations that seq --oracle-check counts for n <= top, each
+    once, with the depth it counts it to."""
+    expr = parse_expr(text)
+    levels = sorted({m for n in range(1, top + 1) for m in (n, n + 1)} if trunc_m is None else {trunc_m, trunc_m + 1})
+    return [(truncate_expr(expr, m), min(m, top)) for m in levels]
+
+
+# the four oracle-check lines of the benchmark, with their generators as
+# written (the benchmark relabels the points of some leaves)
+ORACLE_CHECK_LINES = {
+    "acceptance-01": oracle_check_levels("(wr (wr (finite 1)))", 5),
+    "wide-2628": oracle_check_levels("(wr (prod (finite 3) (wr (finite 1))))", 4, trunc_m=4),
+    "cell-s3": oracle_check_levels("(wr (finite 3 gens=[(0 1 2), (0 1)]))", 5),
+    "cell-s2c3": oracle_check_levels("(wr (prod (finite 2 gens=[(0 1)]) (finite 3 gens=[(0 1 2)])))", 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CHECK_LINES))
+def test_stabilizers_keep_the_generators_of_the_plain_filter(name):
+    # skipping repeats and generators that commute with u_y keeps the
+    # same generators, in the same order
+    for g, n in ORACLE_CHECK_LINES[name]:
+        for gens, orbit, kept in stabilizer_calls(g, n):
+            assert kept == oracles.sims_filter(gens, orbit), (g.degree, orbit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_groups(max_degree=10), cycle_groups(max_degree=10), copied_groups()))
+def test_random_stabilizers_keep_the_generators_of_the_plain_filter(g):
+    for gens, orbit, kept in stabilizer_calls(g, min(g.degree, 4)):
+        assert kept == oracles.sims_filter(gens, orbit), orbit
+
+
+def test_e_rel_truncation_at_seven_fits_the_default_budget():
+    # (wr (wr (finite 1))) at m = 7 acts on 49 points; its descent to
+    # depth 7 has no interchangeable orbits, and takes 279 nodes and
+    # 106,858 sifted elements, most of them repeats
+    expr = parse_expr("(wr (wr (finite 1)))")
+    r = count_orbits_injective(truncate_expr(expr, 7), 7)
+    assert list(r.counts) == list(eval_lseq(expr, 7))
+    assert (r.nodes, r.sifted) == (279, 106858)
+
+
 @settings(max_examples=150, deadline=None)
 @given(copied_groups())
 def test_copies_of_a_group_match_brute(g):
@@ -311,14 +378,16 @@ def test_telemetry_counts_nodes_and_sifted_elements():
     # S3 on pairs: the root, and the stabilizer S2 of point 0, which only
     # counts its orbits.  The root lists 3 points, scans them under 2
     # generators and forms the transversal of the orbit {0, 1, 2}: 2
-    # products and 1 inverse for each of 2 points.  It sifts 3 Schreier elements, the
-    # third equal to its product; the second and third divide to the
-    # identity by the first, whose inverse is formed once: 5 permutations.
-    # The child scans 2 points under the one generator kept.
+    # products and 1 inverse for each of 2 points.  It sifts 3 Schreier
+    # elements, each the transposition (1 2).  The first and second are
+    # formed as quotients by u_z^-1, the third is a product from u_2 to x;
+    # the first is kept, and the other two are repeats that skip the
+    # filter: 2 permutations.  The child scans 2 points under the one
+    # generator kept.
     budget = Budget(100)
     r = count_orbits_injective(FinPermGroup.symmetric(3), 2, budget=budget)
     assert (r.n, r.counts, r.nodes, r.sifted) == (2, (1, 1, 1), 2, 3)
-    assert budget.spent == 3 + 3 * 2 + 3 * 2 * (2 + 1) + 3 * 5 + 2 * 1
+    assert budget.spent == 3 + 3 * 2 + 3 * 2 * (2 + 1) + 3 * 2 + 2 * 1
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
