@@ -11,9 +11,10 @@ choices, default, required, help), the output flags every leaf shares
 and the flag that sets its budget: --budget-tuples for seq, bounds and
 oeis, --budget-nodes for the others.  Both set the limit of the one
 errors.Budget that main hands to every stage of the command, in work
-units: search nodes, the generator images of a parsed leaf, the points
-and point images of the orbit descent, and the terms of each sequence
-step; telemetry.nodes is what it spent.
+units: search nodes, the generator images of a parsed leaf and of a
+truncation, the points and point images of the orbit descent, the
+terms of each sequence step, and the class pairs and graph rows of
+each flip round trip; telemetry.nodes is what it spent.
 main reads a command line straight from the table.  A line the reader
 does not take as written (-h, any error, an abbreviated flag,
 --flag=value, a repeated flag, a value starting with '-') goes to the
@@ -33,7 +34,11 @@ rendered as a decimal string so arbitrary-precision values survive any
 JSON reader.  By default each envelope field and each result row takes
 one line.  With --deterministic the envelope is emitted with sorted
 keys and compact separators and wall time is omitted, making the bytes
-a pure function of the invocation.
+a pure function of the invocation.  In every format the output is
+written one result row at a time, each row stringified and encoded
+only when it is written, so peak memory is the answer plus one
+rendered row.  A reader that stops early (a closed pipe) ends the
+command with its own exit code and nothing on stderr.
 
 Exit codes: 0 success, 1 an expected negative (bound violated,
 mismatch, witness absent), 2 bad input (a ParseError, or a file that
@@ -44,8 +49,8 @@ a ValueError included, is a bug in growthlab, not in the input.
 
 from __future__ import annotations
 
-import io
 import json
+import os
 import random
 import sys
 import time
@@ -118,14 +123,16 @@ def _stringify(value):
 
 
 def _emit(envelope: dict, args) -> None:
-    body = _stringify(envelope)
+    """Write the envelope to stdout one result row at a time, each row
+    stringified and encoded only when it is written."""
+    write = sys.stdout.write
+    rows = map(_stringify, envelope["results"])
     if args.format == "csv":
         import csv
 
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["name", "n", "value", "verdict", "detail"])
-        for row in body["results"]:
+        for row in rows:
             extras = {
                 k: v
                 for k, v in row.items()
@@ -139,16 +146,20 @@ def _emit(envelope: dict, args) -> None:
             if isinstance(value, (list, dict)):
                 value = json.dumps(value, sort_keys=True, separators=(",", ":"))
             writer.writerow([row.get("name", ""), row.get("n", ""), value, row.get("verdict", ""), detail])
-        sys.stdout.write(out.getvalue())
         return
     if args.deterministic:
-        text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        # the envelope's keys are already sorted, so this is the bytes
+        # of one json.dumps(envelope, sort_keys=True) call
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        head, sep, tail = '{"command":%s,"config":%s,"results":[', ",", '],"telemetry":%s}\n'
     else:
         # a line per field and result row, by the C encoder (no indent)
-        rows = "[\n" + ",\n".join(map(json.dumps, body["results"])) + "\n]"
-        fields = (f'"{k}": {rows if k == "results" else json.dumps(v)}' for k, v in body.items())
-        text = "{\n" + ",\n".join(fields) + "\n}"
-    sys.stdout.write(text + "\n")
+        encode = json.dumps
+        head, sep, tail = '{\n"command": %s,\n"config": %s,\n"results": [\n', ",\n", '\n],\n"telemetry": %s\n}\n'
+    write(head % (encode(envelope["command"]), encode(_stringify(envelope["config"]))))
+    for i, row in enumerate(rows):
+        write(sep + encode(row) if i else encode(row))
+    write(tail % encode(_stringify(envelope["telemetry"])))
 
 
 def _common_config(args) -> dict:
@@ -189,7 +200,8 @@ def _cmd_seq(args, rows, tel, config, budget) -> int:
         for n in range(1, top + 1):
             for m in (n, n + 1) if args.trunc_m is None else (args.trunc_m, args.trunc_m + 1):
                 if m not in counted:
-                    oc = count_orbits_injective(truncate_expr(expr, m), min(m, top), budget=budget)
+                    group = truncate_expr(expr, m, budget=budget)
+                    oc = count_orbits_injective(group, min(m, top), budget=budget)
                     tel["oracle_nodes"] += oc.nodes
                     tel["oracle_sifted"] += oc.sifted
                     counted[m] = oc.counts
@@ -359,14 +371,16 @@ def _cmd_graphs(args, rows, tel, config, budget) -> int:
         rows.append({"name": "semi_induced_order", "value": value})
         return EXIT_OK
 
-    # fliproundtrip: one node per trial, all spent before anything is
-    # built; 2^p exceeds the budget B iff p >= B.bit_length(), so 2^p,
-    # which can run to 125,250 bits, is formed only when it fits
+    # fliproundtrip: each trial spends its size, the p = k(k+1)/2 class
+    # pairs it draws and the 3k graph rows it builds, and all trials are
+    # spent before the first is built; 2^p exceeds the budget B iff
+    # p >= B.bit_length(), so 2^p, which can run to 125,250 bits, is
+    # formed only when the trial count alone fits
     k = config["k"] = args.k
+    p = k * (k + 1) // 2
     if args.exhaustive:
         config["exhaustive"] = True
-        p = k * (k + 1) // 2
-        budget.stage = f"2^{p} flip round trips"
+        budget.stage = f"2^{p} flip round trips of k = {k}"
         if p >= budget.limit.bit_length():
             raise CapacityError(f"{budget.stage}: node budget {budget.limit} exceeded")
         trials = 1 << p
@@ -377,10 +391,10 @@ def _cmd_graphs(args, rows, tel, config, budget) -> int:
         )
     else:
         trials = config["seeds"] = args.seeds
-        budget.stage = f"{trials} flip round trips"
+        budget.stage = f"{trials} flip round trips of k = {k}"
         rng = random.Random(args.seed)
         specs = (FlipSpec.random(k, rng) for _ in range(trials))
-    budget.spend(trials)
+    budget.spend(trials * (p + 3 * k))
     clean = flipped_paths(k)
     failures = 0
     for idx, spec in enumerate(specs):
@@ -745,5 +759,13 @@ def main(argv=None) -> int:
         "results": rows,
         "telemetry": tel,
     }
-    _emit(envelope, args)
+    try:
+        _emit(envelope, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early: keep the command's exit code, and
+        # point stdout at devnull so that the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code

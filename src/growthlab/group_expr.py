@@ -23,7 +23,8 @@ classify sorts expressions into finite, cellular and msnc (infinite,
 every wreath layer over a finite domain, versus some wreath layer over
 an infinite one); the label is syntactic, which the command-line layer
 makes explicit.  truncate_expr turns an expression into the finite group
-that the truncation oracle counts orbits of.
+that the truncation oracle counts orbits of, and spends the budget on
+the generator images it builds.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from typing import Sequence, Union
 
-from .errors import DEFAULT_NODE_BUDGET, Budget, CapacityError, ParseError
+from .errors import DEFAULT_NODE_BUDGET, Budget, ParseError
 from .orbit_oracle import FinPermGroup, count_orbits_injective
 from .record import Record
 from .seq_core import (
@@ -58,7 +59,6 @@ DEFAULT_CELL_GRID: tuple[tuple[Fraction, Fraction], ...] = tuple(
 )
 #: default c grid for factorial-upper checks
 DEFAULT_C_GRID: tuple[Fraction, ...] = (Fraction(2),)
-MAX_TRUNC_DEGREE = 4096
 
 
 class Finite(Record):
@@ -303,7 +303,7 @@ def format_expr(expr: GroupExpr) -> str:
     raise TypeError(f"not a group expression: {expr!r}")
 
 
-def truncate_expr(expr: GroupExpr, m: int) -> FinPermGroup:
+def truncate_expr(expr: GroupExpr, m: int, *, budget: Budget | None = None) -> FinPermGroup:
     """Finite stand-in for an expression: wreath layers become wreaths
     with the symmetric group on m copies.
 
@@ -312,17 +312,26 @@ def truncate_expr(expr: GroupExpr, m: int) -> FinPermGroup:
     group on b*m points (point p of copy c sits at c*b + p) generated by
     the base generators on copy 0 plus a copy swap and a copy m-cycle.
     Those copy permutations together with one embedded copy of the base
-    group generate the full wreath product.
+    group generate the full wreath product.  Each product or wreath
+    layer spends ``budget`` (a fresh one of DEFAULT_NODE_BUDGET units
+    when None) the d images of each of its generators of degree d
+    before it builds them; past the limit CapacityError names the stage
+    "truncation at m = <m>".
     """
     if m < 1:
         raise ValueError("truncation level m must be at least 1")
+    budget = budget or Budget(DEFAULT_NODE_BUDGET)
+    budget.stage = f"truncation at m = {m}"
+    return _truncate(expr, m, budget)
+
+
+def _truncate(expr: GroupExpr, m: int, budget: Budget) -> FinPermGroup:
     if isinstance(expr, Finite):
         return expr.group
     if isinstance(expr, DirectProduct):
-        parts = [truncate_expr(child, m) for child in expr.factors]
+        parts = [_truncate(child, m, budget) for child in expr.factors]
         degree = sum(p.degree for p in parts)
-        if degree > MAX_TRUNC_DEGREE:
-            raise CapacityError(f"truncated domain {degree} exceeds cap {MAX_TRUNC_DEGREE}")
+        budget.spend(degree * sum(len(p.generators) for p in parts))
         gens: list[tuple[int, ...]] = []
         offset = 0
         for part in parts:
@@ -334,11 +343,10 @@ def truncate_expr(expr: GroupExpr, m: int) -> FinPermGroup:
             offset += part.degree
         return FinPermGroup(degree, tuple(gens))
     if isinstance(expr, WreathSomega):
-        base = truncate_expr(expr.base, m)
+        base = _truncate(expr.base, m, budget)
         b = base.degree
         degree = b * m
-        if degree > MAX_TRUNC_DEGREE:
-            raise CapacityError(f"truncated domain {degree} exceeds cap {MAX_TRUNC_DEGREE}")
+        budget.spend(degree * (len(base.generators) + (m >= 2) + (m >= 3)))
         gens = []
         for g in base.generators:
             image = list(range(degree))

@@ -7,9 +7,11 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -108,19 +110,20 @@ def test_seq_digit_outside_the_grammar_is_input_error(tmp_path):
 
 
 def test_seq_capacity_exit(tmp_path):
-    # the evaluation and the Stirling transform spend 45 units, and the
-    # oracle count at level m = 2 overruns the budget
+    # the parse, the evaluation, the Stirling transform and level m = 1
+    # spend 47 units, and the truncation at level m = 2, 2 + 4 + 4 units
+    # of generator images, overruns the budget
     proc = run_cli("seq", E_REL, "--max-n", "4", "--oracle-check", "--budget-tuples", "50")
     assert proc.returncode == 3
     env = json.loads(proc.stdout)
-    assert "capacity" in env["telemetry"]
+    assert env["telemetry"]["capacity"] == "truncation at m = 2: node budget 50 exceeded"
     # the rows computed before the budget ran out are still emitted
     assert len(rows_by_name(env, "l")) == len(rows_by_name(env, "s")) == 5
 
 
 def test_seq_capacity_names_the_stage():
     # level m = 5 of (wr (wr (finite 1))) acts on 25 points and is counted
-    # to depth 4, from 12,764 units spent to 56,560; the budget runs out
+    # to depth 4, from 12,998 units spent to 56,794; the budget runs out
     # in the middle of that descent, while its root sifts, at the first
     # permutation of 25 points past the limit, and the rows of levels
     # 1..4 stay
@@ -641,7 +644,8 @@ def test_graphs_fliproundtrip_exhaustive():
     code, env = cli_json("graphs", "fliproundtrip", "--k", "3", "--exhaustive")
     assert code == 0
     assert rows_by_name(env, "summary")[0]["value"] == "0"
-    assert env["telemetry"]["nodes"] == "64"
+    # 2^6 trials, each of 6 class pairs and 9 graph rows
+    assert env["telemetry"]["nodes"] == str(2**6 * (6 + 9))
 
 
 @pytest.mark.parametrize(
@@ -650,26 +654,46 @@ def test_graphs_fliproundtrip_exhaustive():
         ("2^28", ("--k", "7", "--exhaustive")),
         ("100000000", ("--k", "3", "--seeds", "100000000")),
         ("2^125250", ("--k", "500", "--exhaustive")),
+        ("1", ("--k", "5000", "--seeds", "1")),
     ],
 )
 def test_graphs_fliproundtrip_counts_its_trials_before_the_first(trials, argv):
-    # one node per trial against the default budget of 10^7, checked
-    # before any trial is built; an exhaustive run names its count by
-    # the exponent k(k+1)/2, whatever its number of digits
+    # k(k+1)/2 + 3k nodes per trial against the default budget of 10^7,
+    # checked before any trial is built; an exhaustive run names its
+    # count by the exponent k(k+1)/2, whatever its number of digits
     code, env = cli_json("graphs", "fliproundtrip", *argv, timeout=30)
     assert code == 3
     assert env["results"] == []
-    assert env["telemetry"]["capacity"] == f"{trials} flip round trips: node budget 10000000 exceeded"
+    want = f"{trials} flip round trips of k = {argv[1]}: node budget 10000000 exceeded"
+    assert env["telemetry"]["capacity"] == want
 
 
-@pytest.mark.parametrize("argv", [("--k", "2000", "--exhaustive"), ("--k", "3", "--seeds", "100000000")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--k", "2000", "--exhaustive"),
+        ("--k", "3", "--seeds", "100000000"),
+        ("--k", "20000", "--seeds", "1", "--budget-nodes", "5"),
+    ],
+)
 def test_graphs_fliproundtrip_over_budget_builds_no_graph(argv, monkeypatch, capsys):
     def unexpected(*args):
         raise AssertionError("flipped_paths called on an over-budget run")
 
+    def over_time(*args):
+        raise AssertionError("an over-budget run still running after 30 s")
+
     monkeypatch.setattr(cli, "flipped_paths", unexpected)
-    assert cli.main(["graphs", "fliproundtrip", *argv]) == 3
-    assert "node budget 10000000 exceeded" in json.loads(capsys.readouterr().out)["telemetry"]["capacity"]
+    previous = signal.signal(signal.SIGALRM, over_time)
+    signal.alarm(30)
+    try:
+        code = cli.main(["graphs", "fliproundtrip", *argv])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3
+    limit = argv[argv.index("--budget-nodes") + 1] if "--budget-nodes" in argv else "10000000"
+    assert f"node budget {limit} exceeded" in json.loads(capsys.readouterr().out)["telemetry"]["capacity"]
 
 
 @pytest.mark.parametrize("k", ["1", "-3"])
@@ -1041,21 +1065,38 @@ def test_deterministic_omits_wall_time():
     assert "wall_ms" in env2["telemetry"]
 
 
-@pytest.mark.parametrize(
-    "label", ["seq-w3-200", "bounds-e_rel-350", "oeis-bell-400", "semiinduced-h11", "forbidden-p3-n6", "order-0"]
+#: the labels of every benchmark line of one seed
+BENCH_LABELS = (
+    "acceptance-01", "wide-2628", "cell-s3", "cell-s2c3",
+    "seq-w3-200", "bounds-e_rel-350", "bounds-w3-250", "bounds-s3-300", "bounds-invol-300",
+    "bounds-cell-prod-250", "bounds-msnc-fin-200", "bounds-msnc-prod-250",
+    "oeis-bell-400", "oeis-bell2-300", "oeis-meet-8", "oeis-e_rel-s-250", "oeis-somega-s-300",
+    "generators-h3-n6", "generators-h8-n5", "forbidden-p3-n6", "forbidden-p3k3-n6", "semiinduced-h11",
+    "order-0", "order-1", "coding-0", "coding-1", "coding-none-0", "coding-none-1",
 )
-def test_default_output_parses_to_the_deterministic_envelope(label, tmp_path, capsys):
-    # one benchmark line (seed 0) per command; the default output puts
-    # one result row on each line, --deterministic sorts and compacts
+
+
+@pytest.fixture(scope="module")
+def bench_argv(tmp_path_factory):
+    """The argv of every benchmark line of seed 0, by label."""
     workloads = golden._workloads()
     ops = []
     for workload in workloads.WORKLOADS:
-        (tmp_path / workload).mkdir()
-        ops += workloads.build(workload, 0, tmp_path / workload)
-    [op] = [op for op in ops if op.label == label]
+        ops += workloads.build(workload, 0, tmp_path_factory.mktemp(workload))
+    return {op.label: list(op.argv) for op in ops}
+
+
+def test_bench_labels_are_every_benchmark_line(bench_argv):
+    assert sorted(bench_argv) == sorted(BENCH_LABELS)
+
+
+@pytest.mark.parametrize("label", BENCH_LABELS)
+def test_default_output_parses_to_the_deterministic_envelope(label, bench_argv, capsys):
+    # the default output puts one result row on each line,
+    # --deterministic sorts and compacts
     envelopes = []
     for extra in ([], ["--deterministic"]):
-        code = cli.main([*op.argv, *extra])
+        code = cli.main([*bench_argv[label], *extra])
         out = capsys.readouterr().out
         env = json.loads(out)
         env["telemetry"].pop("wall_ms", None)
@@ -1064,6 +1105,68 @@ def test_default_output_parses_to_the_deterministic_envelope(label, tmp_path, ca
         if not extra:
             assert out.count("\n") == len(env["results"]) + 7
     assert envelopes[0] == envelopes[1]
+
+
+@pytest.mark.parametrize("label", BENCH_LABELS)
+def test_csv_rows_carry_the_envelope_rows(label, bench_argv, capsys):
+    # name, n, value and verdict of each row; a list or dict value is
+    # written as compact JSON
+    cli.main([*bench_argv[label], "--deterministic"])
+    env = json.loads(capsys.readouterr().out)
+    cli.main([*bench_argv[label], "--format", "csv"])
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["name", "n", "value", "verdict", "detail"]
+    want = []
+    for row in env["results"]:
+        value = row.get("value", "")
+        if isinstance(value, (list, dict)):
+            value = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        want.append([row.get("name", ""), row.get("n", ""), value, row.get("verdict", "")])
+    assert [r[:4] for r in rows] == want
+
+
+@pytest.mark.parametrize("fmt", [(), ("--deterministic",), ("--format", "csv")])
+def test_the_writer_holds_one_row_at_a_time(fmt, monkeypatch):
+    # about 0.69 MB of output; a writer that renders the whole answer
+    # before writing it peaks at a few times that.  One row takes a few
+    # KB, and csv's writer keeps a record buffer of 128 KB
+    captured = []
+    monkeypatch.setattr(cli, "_emit", lambda envelope, args: captured.append((envelope, args)))
+    assert cli.main(["seq", E_REL, "--max-n", "600", *fmt]) == 0
+    monkeypatch.undo()
+    [(envelope, args)] = captured
+
+    class Sink:
+        written = 0
+
+        def write(self, text):
+            self.written += len(text)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            cli._emit(envelope, args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.written > 600_000
+    assert peak < sink.written / 4
+
+
+def test_a_reader_that_is_gone_leaves_the_exit_code_alone():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "growthlab", "seq", E_REL, "--max-n", "5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_envelope_structure():

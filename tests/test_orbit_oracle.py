@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from growthlab import Budget, CapacityError, FinPermGroup, Finite, IntSeq
 from growthlab import count_orbits_injective, parse_expr, stirling_transform
 from growthlab import eval_lseq, truncate_expr
-from growthlab.group_expr import MAX_TRUNC_DEGREE
 from growthlab.orbit_oracle import _Descent
 
 import oracles
@@ -516,9 +515,15 @@ def test_truncate_rejects_nonpositive_m():
         truncate_expr(parse_expr("(wr (finite 2))"), 0)
 
 
-def test_truncate_degree_cap():
-    with pytest.raises(CapacityError):
-        truncate_expr(parse_expr("(wr (finite 3))"), MAX_TRUNC_DEGREE)
+def test_truncate_spends_each_generator_before_building_it():
+    # (wr (finite 3)) at m = 4096: a copy swap and a copy cycle, each of
+    # 12,288 images, which do not fit in 20,000 units
+    expr = parse_expr("(wr (finite 3))")
+    budget = Budget(20_000)
+    with pytest.raises(CapacityError, match=r"^truncation at m = 4096: node budget 20000 exceeded$"):
+        truncate_expr(expr, 4096, budget=budget)
+    assert budget.spent == 2 * 12_288
+    assert truncate_expr(expr, 4096).degree == 12_288
 
 
 def test_truncation_stabilizes_orbit_counts():
